@@ -279,7 +279,11 @@ def _cmd_count(args) -> int:
         rep = ratwords.subsequence_transform(ratwords.word_indicator((1,), 2))
     else:  # factor11
         rep = ratwords.subfactor_transform(ratwords.word_indicator((1, 1), 2))
-    value = ratwords.count_in_expansion(rep, args.n, 2)
+    try:
+        value = ratwords.count_in_expansion(rep, args.n, 2)
+    except ValueError as exc:
+        print(f"count: {exc}", file=sys.stderr)
+        return 2
     print(str(value))
     return 0
 

@@ -782,6 +782,8 @@ def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep: one integral quotient u reproduces the twisted series
     over every window [3*2^e, ...] as (-1)^e u(z^(2^e)) times the Stern
     series, coefficient-exactly to order-3*2^e."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     if order < 3 << e_max:
         raise ValueError("order must be at least 3*2^e_max")
     report = VerificationReport(
@@ -812,6 +814,8 @@ def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
 
 def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep for the doubling-step quotients A and B over e <= e_max."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     if order < 2 << e_max:
         raise ValueError("order must be at least 2^(e_max+1)")
     report = VerificationReport(

@@ -149,6 +149,10 @@ def test_conjecture(capsys):
     assert code == 0
     code, _ = invoke(capsys, ["conjecture", "--which", "gen", "--max-e", "9", "--order", "64"])
     assert code == 2
+    for which in ("gen", "ab"):
+        code = run(["conjecture", "--which", which, "--max-e", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "conjecture: e_max must be a natural number\n"
 
 
 def test_count(capsys):
@@ -162,6 +166,10 @@ def test_count(capsys):
     assert out.strip() == "7"
     code, _ = invoke(capsys, ["count", "--pattern", "ones", "--n", "3", "--weighted"])
     assert code == 2
+    code = run(["count", "--pattern", "ones", "--n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "count: expansions encode natural numbers\n"
 
 
 def test_parse_bfile():
