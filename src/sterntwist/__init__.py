@@ -47,7 +47,6 @@ from .ratwords import (
     LinearRepresentation,
     admissible_representation,
     count_in_expansion,
-    evaluate_word,
     subfactor_transform,
     subsequence_transform,
     word_indicator,

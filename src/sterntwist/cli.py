@@ -212,7 +212,11 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     n_limit = args.max_n if args.max_n is not None else _default_order()
-    reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
+    try:
+        reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     _emit_reports(reports, args.format)
     return 1 if any(r.blocking for r in reports) else 0
 
@@ -221,7 +225,11 @@ def _cmd_scan(args) -> int:
     if args.identity not in verify.REGISTRY:
         print(f"scan: unknown identity {args.identity!r}", file=sys.stderr)
         return 2
-    report = verify.check_identity(args.identity, args.e, verify.SCAN)
+    try:
+        report = verify.check_identity(args.identity, args.e, verify.SCAN)
+    except ValueError as exc:
+        print(f"scan: {exc}", file=sys.stderr)
+        return 2
     _emit_reports([report], args.format)
     return 0
 

@@ -83,6 +83,7 @@ class LinearRepresentation:
         return len(self.trans)
 
     def evaluate(self, word) -> object:
+        """Value on an explicit digit word (most significant first)."""
         zero = _zero(self.ring)
         row = self.init
         for digit in word:
@@ -104,11 +105,6 @@ class LinearRepresentation:
             ],
             "final": [_entry_json(x) for x in self.final],
         }
-
-
-def evaluate_word(rep: LinearRepresentation, word) -> object:
-    """Value of `rep` on an explicit digit word (most significant first)."""
-    return rep.evaluate(word)
 
 
 def subsequence_transform(rep: LinearRepresentation) -> LinearRepresentation:

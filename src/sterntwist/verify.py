@@ -1,12 +1,11 @@
 """Identity registry and sweep/scan checkers.
 
 The registry is data: each catalogued identity stores its two closed forms
-as small expression trees over the symbols e and n, the parameter range it
-was stated for, and a status flag.  Entries whose printed statement
-disagrees with exhaustive computation are kept verbatim and flagged
-``suspected-typo``; their failures are documented, not hidden, and never
-fail the build.  Conjecture checkers likewise only ever produce evidence
-reports.
+as plain functions of (e, n), the parameter range it was stated for, and a
+status flag.  Entries whose printed statement disagrees with exhaustive
+computation are kept verbatim and flagged ``suspected-typo``; their
+failures are documented, not hidden, and never fail the build.
+Conjecture checkers likewise only ever produce evidence reports.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from .series import (
 
 
 # ---------------------------------------------------------------------------
-# Expression trees.
+# Identity sides.
 # ---------------------------------------------------------------------------
 
 
@@ -33,174 +32,23 @@ class _OutOfDomain(Exception):
     """An argument left the natural numbers; the point is out of range."""
 
 
-class Expr:
-    def __add__(self, other):
-        return Add(self, _lift(other))
-
-    def __radd__(self, other):
-        return Add(_lift(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return Sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return Mul(_lift(other), self)
+def _s(x: int) -> int:
+    """s(x); a negative index puts the point out of domain."""
+    if x < 0:
+        raise _OutOfDomain
+    return stern(x)
 
 
-def _lift(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, int):
-        return Num(x)
-    raise TypeError(f"cannot build an expression from {x!r}")
+def _t(x: int) -> int:
+    """t(x); a negative index puts the point out of domain."""
+    if x < 0:
+        raise _OutOfDomain
+    return twisted(x)
 
 
-@dataclass(frozen=True)
-class Num(Expr):
-    value: int
-
-
-@dataclass(frozen=True)
-class Sym(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow2(Expr):
-    """2**exponent; a negative exponent puts the point out of domain."""
-
-    exponent: Expr
-
-
-@dataclass(frozen=True)
-class AltSign(Expr):
-    """(-1)**exponent."""
-
-    exponent: Expr
-
-
-@dataclass(frozen=True)
-class SVal(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class TVal(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class ModVal(Expr):
-    arg: Expr
-    modulus: int
-
-
-E = Sym("e")
-N = Sym("n")
-
-
-def s_(x) -> SVal:
-    return SVal(_lift(x))
-
-
-def t_(x) -> TVal:
-    return TVal(_lift(x))
-
-
-def p2(x) -> Pow2:
-    return Pow2(_lift(x))
-
-
-def sign_e(x) -> AltSign:
-    return AltSign(_lift(x))
-
-
-def evaluate(expr: Expr, e: int, n: int) -> int:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Sym):
-        return e if expr.name == "e" else n
-    if isinstance(expr, Add):
-        return evaluate(expr.left, e, n) + evaluate(expr.right, e, n)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, e, n) - evaluate(expr.right, e, n)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, e, n) * evaluate(expr.right, e, n)
-    if isinstance(expr, Pow2):
-        exp = evaluate(expr.exponent, e, n)
-        if exp < 0:
-            raise _OutOfDomain
-        return 1 << exp
-    if isinstance(expr, AltSign):
-        return -1 if evaluate(expr.exponent, e, n) % 2 else 1
-    if isinstance(expr, SVal):
-        arg = evaluate(expr.arg, e, n)
-        if arg < 0:
-            raise _OutOfDomain
-        return stern(arg)
-    if isinstance(expr, TVal):
-        arg = evaluate(expr.arg, e, n)
-        if arg < 0:
-            raise _OutOfDomain
-        return twisted(arg)
-    if isinstance(expr, ModVal):
-        return evaluate(expr.arg, e, n) % expr.modulus
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def render(expr: Expr) -> str:
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Sym):
-        return expr.name
-    if isinstance(expr, Add):
-        return f"{render(expr.left)} + {render(expr.right)}"
-    if isinstance(expr, Sub):
-        return f"{render(expr.left)} - {_wrap(expr.right)}"
-    if isinstance(expr, Mul):
-        return f"{_wrap(expr.left)}*{_wrap(expr.right)}"
-    if isinstance(expr, Pow2):
-        return f"2^{_wrap(expr.exponent)}"
-    if isinstance(expr, AltSign):
-        return f"(-1)^{_wrap(expr.exponent)}"
-    if isinstance(expr, SVal):
-        return f"s({render(expr.arg)})"
-    if isinstance(expr, TVal):
-        return f"t({render(expr.arg)})"
-    if isinstance(expr, ModVal):
-        return f"({render(expr.arg)} mod {expr.modulus})"
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def _wrap(expr: Expr) -> str:
-    text = render(expr)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return f"({text})"
-    return text
+def _sign(x: int) -> int:
+    """(-1)**x."""
+    return -1 if x % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +67,8 @@ class IdentityRecord:
     sweep shows it wrong, in which case status says so)."""
 
     identity: str
-    lhs: Expr
-    rhs: Expr
+    lhs: Callable[[int, int], int]
+    rhs: Callable[[int, int], int]
     n_range: Callable[[int], tuple[int, int]]
     anchor: str
     e_min: int = 0
@@ -243,55 +91,64 @@ def _register(record: IdentityRecord) -> None:
 
 _register(IdentityRecord(
     "STID-S",
-    s_(p2(E) + N), s_(p2(E) - N) + s_(N),
+    lambda e, n: _s((1 << e) + n),
+    lambda e, n: _s((1 << e) - n) + _s(n),
     lambda e: (0, 1 << e),
     "s(2^e+n) = s(2^e-n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "STID-T",
-    t_(p2(E) + N), sign_e(E) * (s_(p2(E) - N) - s_(N)),
+    lambda e, n: _t((1 << e) + n),
+    lambda e, n: _sign(e) * (_s((1 << e) - n) - _s(n)),
     lambda e: (0, 1 << e),
     "t(2^e+n) = (-1)^e (s(2^e-n) - s(n)), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "STID-T3",
-    t_(3 * p2(E) + N), t_(6 * p2(E) - N),
+    lambda e, n: _t((3 << e) + n),
+    lambda e, n: _t((6 << e) - n),
     lambda e: (0, 2 << e),
     "t(3*2^e+n) = t(6*2^e-n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "STID-T3S",
-    t_(3 * p2(E) + N), sign_e(E) * s_(N),
+    lambda e, n: _t((3 << e) + n),
+    lambda e, n: _sign(e) * _s(n),
     lambda e: (0, 2 << e),
     "t(3*2^e+n) = (-1)^e s(n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "MF1",
-    s_(p2(E + 1) + N), s_(p2(E) + N) + s_(N),
+    lambda e, n: _s((2 << e) + n),
+    lambda e, n: _s((1 << e) + n) + _s(n),
     lambda e: (0, 1 << e),
     "s(2^(e+1)+n) = s(2^e+n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "MF2",
-    t_(p2(E + 1) + N) + t_(p2(E) + N), sign_e(E + 1) * s_(N),
+    lambda e, n: _t((2 << e) + n) + _t((1 << e) + n),
+    lambda e, n: _sign(e + 1) * _s(n),
     lambda e: (0, 1 << e),
     "t(2^(e+1)+n) + t(2^e+n) = (-1)^(e+1) s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "REC-S",
-    s_(N), -1 * s_(N - p2(E)) + s_(N - 2 * p2(E)) + 2 * s_(N - 3 * p2(E)),
+    lambda e, n: _s(n),
+    lambda e, n: -_s(n - (1 << e)) + _s(n - (2 << e)) + 2 * _s(n - (3 << e)),
     lambda e: (4 << e, 7 << e),
     "s(n) = -s(n-2^e) + s(n-2*2^e) + 2s(n-3*2^e), 2^(e+2) <= n <= 2^(e+3)-2^e",
 ))
 _register(IdentityRecord(
     "REC-T",
-    t_(N), t_(N - p2(E)) - t_(N - p2(E + 1)),
+    lambda e, n: _t(n),
+    lambda e, n: _t(n - (1 << e)) - _t(n - (2 << e)),
     lambda e: (4 << e, 8 << e),
     "t(n) = t(n-2^e) - t(n-2^(e+1)), 2^(e+2) <= n <= 2^(e+3)",
 ))
 _register(IdentityRecord(
     "ID3",
-    s_(3 * p2(E) + N), s_(3 * p2(E) - N),
+    lambda e, n: _s((3 << e) + n),
+    lambda e, n: _s((3 << e) - n),
     lambda e: (0, 1 << e),
     "s(3*2^e+n) = s(3*2^e-n); stated for 0 <= e <= 2^n, "
     "swept as 0 <= n <= 2^e (the stated range reads transposed)",
@@ -299,27 +156,31 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID4",
-    s_(3 * p2(E) + N), s_(3 * p2(E - 1) + N) + 2 * s_(N),
+    lambda e, n: _s((3 << e) + n),
+    lambda e, n: _s((3 << (e - 1)) + n) + 2 * _s(n),
     lambda e: (0, _half_pow(e)),
     "s(3*2^e+n) = s(3*2^(e-1)+n) + 2s(n), 0 <= n <= 2^(e-1)",
     e_min=1,
 ))
 _register(IdentityRecord(
     "ID5",
-    t_(p2(E) + N), t_(p2(E) + N - p2(E - 2)) - t_(p2(E) + N - p2(E - 1)),
+    lambda e, n: _t((1 << e) + n),
+    lambda e, n: _t((1 << e) + n - (1 << (e - 2))) - _t((1 << e) + n - (1 << (e - 1))),
     lambda e: (1, 1 << e),
     "t(2^e+n) = t(2^e+n-2^(e-2)) - t(2^e+n-2^(e-1)), e >= 2, 1 <= n <= 2^e",
     e_min=2,
 ))
 _register(IdentityRecord(
     "ID6",
-    s_(p2(E) + N), sign_e(E) * t_(p2(E) + N) + 2 * s_(N),
+    lambda e, n: _s((1 << e) + n),
+    lambda e, n: _sign(e) * _t((1 << e) + n) + 2 * _s(n),
     lambda e: (0, 2 << e),
     "s(2^e+n) = (-1)^e t(2^e+n) + 2s(n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "ID7",
-    s_(p2(E) + N), sign_e(E) * t_(p2(E) - N) - 3 * s_(N),
+    lambda e, n: _s((1 << e) + n),
+    lambda e, n: _sign(e) * _t((1 << e) - n) - 3 * _s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e+n) = (-1)^e t(2^e-n) - 3s(n), 0 <= n <= 2^(e-1) "
     "(fails; see ID7C for the sign-corrected form)",
@@ -327,7 +188,8 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID7C",
-    s_(p2(E) + N), sign_e(E) * t_(p2(E) - N) + 3 * s_(N),
+    lambda e, n: _s((1 << e) + n),
+    lambda e, n: _sign(e) * _t((1 << e) - n) + 3 * _s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e+n) = (-1)^e t(2^e-n) + 3s(n), 0 <= n <= 2^(e-1) "
     "(sign-corrected form of ID7)",
@@ -335,41 +197,45 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID8",
-    s_(p2(E) - N), sign_e(E) * t_(p2(E) - N) + 2 * s_(N),
+    lambda e, n: _s((1 << e) - n),
+    lambda e, n: _sign(e) * _t((1 << e) - n) + 2 * _s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e-n) = (-1)^e t(2^e-n) + 2s(n), 0 <= n <= 2^(e-1)",
 ))
 _register(IdentityRecord(
     "ID9",
-    s_(p2(E) - N), sign_e(E) * t_(p2(E) + N) + s_(N),
+    lambda e, n: _s((1 << e) - n),
+    lambda e, n: _sign(e) * _t((1 << e) + n) + _s(n),
     lambda e: (0, 1 << e),
     "s(2^e-n) = (-1)^e t(2^e+n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "DIV-S",
-    s_(p2(E) * (2 * N + 1) - 1) + s_(p2(E) * (2 * N + 1) + 1),
-    (1 + 2 * E) * s_(p2(E) * (2 * N + 1)),
+    lambda e, n: _s(((2 * n + 1) << e) - 1) + _s(((2 * n + 1) << e) + 1),
+    lambda e, n: (1 + 2 * e) * _s((2 * n + 1) << e),
     lambda e: (0, 1 << max(12 - e, 0)),
     "s(m-1) + s(m+1) = (1+2v2(m)) s(m) for all m >= 1, "
     "written with m = 2^e(2n+1) and swept to a cap",
 ))
 _register(IdentityRecord(
     "DIV-T",
-    t_(p2(E) * (2 * N + 1) - 1) + t_(p2(E) * (2 * N + 1) + 1),
-    (1 + 2 * E) * t_(p2(E) * (2 * N + 1)),
+    lambda e, n: _t(((2 * n + 1) << e) - 1) + _t(((2 * n + 1) << e) + 1),
+    lambda e, n: (1 + 2 * e) * _t((2 * n + 1) << e),
     lambda e: (2, max(2, 1 << max(12 - e, 0))),
     "t(m-1) + t(m+1) = (1+2v2(m)) t(m) for m = 2^e(2n+1) with 2n+1 >= 5, "
     "outside the exceptional families m in 2^N and 3*2^N",
 ))
 _register(IdentityRecord(
     "MOD2-S",
-    ModVal(s_(N), 2), ModVal(Mul(N, N), 3),
+    lambda e, n: _s(n) % 2,
+    lambda e, n: n * n % 3,
     lambda e: (0, 1 << e),
     "s(n) is even iff 3 divides n (n^2 mod 3 is that indicator)",
 ))
 _register(IdentityRecord(
     "MOD2-T",
-    ModVal(t_(N), 2), ModVal(Mul(N, N), 3),
+    lambda e, n: _t(n) % 2,
+    lambda e, n: n * n % 3,
     lambda e: (0, 1 << e),
     "t(n) is even iff 3 divides n (n^2 mod 3 is that indicator)",
 ))
@@ -462,7 +328,7 @@ SCAN = "scan"
 def _holds(record: IdentityRecord, e: int, n: int):
     """(lhs, rhs) or None when the point is out of domain."""
     try:
-        return evaluate(record.lhs, e, n), evaluate(record.rhs, e, n)
+        return record.lhs(e, n), record.rhs(e, n)
     except _OutOfDomain:
         return None
 
@@ -520,6 +386,8 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
     record = REGISTRY[identity]
     if n_policy not in (PRINTED_RANGE, SCAN):
         raise ValueError(f"unknown sweep policy {n_policy!r}")
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     report = VerificationReport(
         identity,
         params=f"e in [{record.e_min}, {e_max}], policy={n_policy}",
@@ -866,6 +734,12 @@ def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
               ) -> list[VerificationReport]:
     """Run one named verification suite; `all` also appends the partial-sum
     checks."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
+    if n_limit < 2:
+        raise ValueError("n_limit must be at least 2")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if suite == "identities":
         return check_all_identities(e_max, jobs=jobs)
     if suite == "matrices":

@@ -237,3 +237,21 @@ def test_usage_errors(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
     assert run(["seq", "--kind", "x", "--from", "0", "--to", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-e", "-1"],
+    ["verify", "--max-n", "-5"],
+    ["verify", "--max-n", "1"],
+    ["verify", "--jobs", "-3"],
+    ["verify", "--jobs", "0"],
+    ["scan", "--identity", "ID3", "--e", "-1"],
+])
+def test_bad_argv_exits_2(capsys, argv):
+    # each is rejected before any sweep runs or any worker process starts
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in captured.err

@@ -10,7 +10,6 @@ from sterntwist.ratwords import (
     all_words_representation,
     count_in_expansion,
     digits_of,
-    evaluate_word,
     representation_product,
     subfactor_transform,
     subsequence_transform,
@@ -26,7 +25,7 @@ def brute_subsequence_sum(rep, word):
     total = 0
     for r in range(len(word) + 1):
         for combo in combinations(range(len(word)), r):
-            total = total + evaluate_word(rep, tuple(word[i] for i in combo))
+            total = total + rep.evaluate(tuple(word[i] for i in combo))
     return total
 
 
@@ -34,40 +33,40 @@ def brute_factor_sum(rep, word):
     total = 0
     for i in range(len(word) + 1):
         for j in range(i, len(word) + 1):
-            total = total + evaluate_word(rep, tuple(word[i:j]))
+            total = total + rep.evaluate(tuple(word[i:j]))
     return total
 
 
 def test_admissible_recogniser():
     rep = admissible_representation()
-    assert evaluate_word(rep, (1,)) == 1
-    assert evaluate_word(rep, (1, 0, 1)) == W
-    assert evaluate_word(rep, (1, 0, 1, 0, 1)) == W * W
-    assert evaluate_word(rep, (1, 1)) == 0
-    assert evaluate_word(rep, (0, 1)) == 0
-    assert evaluate_word(rep, ()) == 0
+    assert rep.evaluate((1,)) == 1
+    assert rep.evaluate((1, 0, 1)) == W
+    assert rep.evaluate((1, 0, 1, 0, 1)) == W * W
+    assert rep.evaluate((1, 1)) == 0
+    assert rep.evaluate((0, 1)) == 0
+    assert rep.evaluate(()) == 0
     assert rep.states == 3
 
 
 def test_evaluate_empty_word_is_init_dot_final():
     rep = word_indicator((1, 0), 2)
-    assert evaluate_word(rep, ()) == 0
+    assert rep.evaluate(()) == 0
     everything = all_words_representation(2)
-    assert evaluate_word(everything, ()) == 1
+    assert everything.evaluate(()) == 1
 
 
 def test_digit_range_checked():
     rep = admissible_representation()
     with pytest.raises(ValueError):
-        evaluate_word(rep, (2,))
+        rep.evaluate((2,))
 
 
 def test_subsequence_transform_on_admissible():
     weighted = subsequence_transform(admissible_representation())
-    assert evaluate_word(weighted, (1, 0, 1, 1)) == WeightPolynomial((3, 2))
+    assert weighted.evaluate((1, 0, 1, 1)) == WeightPolynomial((3, 2))
     plain = subsequence_transform(admissible_representation(weighted=False))
-    assert evaluate_word(plain, (1, 0, 1, 1)) == 5
-    assert evaluate_word(plain, ()) == 0
+    assert plain.evaluate((1, 0, 1, 1)) == 5
+    assert plain.evaluate(()) == 0
 
 
 def test_count_in_expansion_examples():
@@ -111,9 +110,9 @@ def test_thue_morse_sign():
 @given(short_words)
 def test_subsequence_transform_matches_brute_force(word):
     rep = admissible_representation()
-    assert evaluate_word(subsequence_transform(rep), word) == brute_subsequence_sum(rep, word)
+    assert subsequence_transform(rep).evaluate(word) == brute_subsequence_sum(rep, word)
     simple = word_indicator((1, 0), 2)
-    assert evaluate_word(subsequence_transform(simple), word) == brute_subsequence_sum(
+    assert subsequence_transform(simple).evaluate(word) == brute_subsequence_sum(
         simple, word
     )
 
@@ -122,9 +121,9 @@ def test_subsequence_transform_matches_brute_force(word):
 @given(short_words)
 def test_subfactor_transform_matches_brute_force(word):
     rep = word_indicator((1, 1), 2)
-    assert evaluate_word(subfactor_transform(rep), word) == brute_factor_sum(rep, word)
+    assert subfactor_transform(rep).evaluate(word) == brute_factor_sum(rep, word)
     other = word_indicator((0, 1, 1), 2)
-    assert evaluate_word(subfactor_transform(other), word) == brute_factor_sum(other, word)
+    assert subfactor_transform(other).evaluate(word) == brute_factor_sum(other, word)
 
 
 def test_subfactor_counts_empty_decompositions():
@@ -135,7 +134,7 @@ def test_subfactor_counts_empty_decompositions():
         word = (1,) * length
         # factors of a length-L word: one per (start, end) pair
         expected = (length + 1) * (length + 2) // 2
-        assert evaluate_word(counter, word) == expected
+        assert counter.evaluate(word) == expected
 
 
 def test_representation_product_dimensions():

@@ -20,8 +20,6 @@ from sterntwist.verify import (
     check_palindrome,
     check_partial_sums,
     det_m,
-    evaluate,
-    render,
     run_suite,
 )
 
@@ -42,13 +40,54 @@ def test_registry_contents():
     assert REGISTRY["ID4"].e_min == 1
 
 
-def test_expression_machinery():
+def test_identity_sides():
     record = REGISTRY["STID-S"]
-    assert evaluate(record.lhs, 2, 1) == stern(5) == 3
-    assert evaluate(record.rhs, 2, 1) == stern(3) + stern(1) == 3
-    assert render(record.lhs) == "s(2^e + n)"
-    assert render(record.rhs) == "s(2^e - n) + s(n)"
-    assert "(-1)^e" in render(REGISTRY["STID-T3S"].rhs)
+    assert record.lhs(2, 1) == stern(5) == 3
+    assert record.rhs(2, 1) == stern(3) + stern(1) == 3
+
+
+#: _holds(record, 3, n) for every registry id at three points: one inside the
+#: printed range, the first point past the scanned range (the sides differ
+#: there, or leave the domain, except for the open-right scans of DIV-S,
+#: DIV-T and the MOD2 pair), and one point out of domain.
+SIDES_AT_E3 = [
+    ("STID-S", 4, (2, 2), 9, None, 9),
+    ("STID-T", 4, (0, 0), 9, None, 9),
+    ("STID-T3", 8, (-1, -1), 33, (4, 2), 49),
+    ("STID-T3S", 8, (-1, -1), 17, (-3, -5), -1),
+    ("MF1", 4, (3, 3), 9, (7, 9), -1),
+    ("MF2", 4, (1, 1), 9, (2, 4), -1),
+    ("REC-S", 44, (5, 5), 57, (10, 14), 0),
+    ("REC-T", 48, (0, 0), 65, (5, 3), 0),
+    ("ID3", 4, (3, 3), 9, (6, 4), 25),
+    ("ID4", 2, (5, 5), 5, (7, 11), -1),
+    ("ID5", 4, (0, 0), 9, (3, 1), -5),
+    ("ID6", 8, (1, 1), 17, (7, 11), -1),
+    ("ID7", 2, (3, -3), 2, (3, -3), 9),
+    ("ID7C", 2, (3, 3), 5, (5, 9), 9),
+    ("ID8", 2, (2, 2), 5, (2, 6), 9),
+    ("ID9", 4, (1, 1), 9, None, 9),
+    ("DIV-S", 256, (70, 70), 1090, (574, 574), -1),
+    ("DIV-T", 257, (91, 91), 1088, (161, 161), -1),
+    ("MOD2-S", 4, (1, 1), 82, (1, 1), -1),
+    ("MOD2-T", 4, (1, 1), 82, (1, 1), -1),
+]
+
+
+def test_sides_table_covers_the_registry():
+    assert [row[0] for row in SIDES_AT_E3] == list(REGISTRY)
+
+
+@pytest.mark.parametrize("identity, inside, inside_pair, past, past_pair, outside",
+                         SIDES_AT_E3)
+def test_identity_sides_at_e3(identity, inside, inside_pair, past, past_pair, outside):
+    record = REGISTRY[identity]
+    lo, hi = record.n_range(3)
+    assert lo <= inside <= hi
+    assert verify._holds(record, 3, inside) == inside_pair
+    assert check_identity(identity, 3, SCAN).scanned[3]["hi"] + 1 == past
+    assert verify._holds(record, 3, past) == past_pair
+    assert verify._holds(record, 3, outside) is None
 
 
 @pytest.mark.parametrize("identity", CLEAN_IDS)
@@ -97,6 +136,18 @@ def test_unknown_identity_and_policy():
         check_identity("NOPE", 3)
     with pytest.raises(ValueError):
         check_identity("ID3", 3, "guess")
+
+
+def test_empty_sweeps_are_rejected():
+    for policy in (verify.PRINTED_RANGE, SCAN):
+        with pytest.raises(ValueError, match="e_max must be a natural number"):
+            check_identity("ID3", -1, policy)
+    with pytest.raises(ValueError, match="e_max must be a natural number"):
+        run_suite("identities", -1, 64)
+    with pytest.raises(ValueError, match="n_limit must be at least 2"):
+        run_suite("matrices", 3, 1)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_suite("all", 3, 64, jobs=0)
 
 
 def test_partial_sums():
