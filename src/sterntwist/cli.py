@@ -103,15 +103,18 @@ def _emit_reports(reports, fmt: str) -> None:
 
 
 def _default_order() -> int:
+    """The environment's order if set, else the built-in; a set value that
+    is not a natural number raises ValueError."""
     env = os.environ.get(ORDER_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULTS.truncation_order
+    if env is None:
+        return DEFAULTS.truncation_order
+    try:
+        value = int(env)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{ORDER_ENV_VAR} must be a natural number, got {env!r}") from None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +187,10 @@ def _series_by_name(name: str, order: int, e: int | None):
 
 
 def _cmd_series(args) -> int:
-    order = args.order if args.order is not None else _default_order()
-    if order < 0:
-        print("series: order must be a natural number", file=sys.stderr)
-        return 2
     try:
+        order = args.order if args.order is not None else _default_order()
+        if order < 0:
+            raise ValueError("order must be a natural number")
         result = _series_by_name(args.name, order, args.e)
     except ValueError as exc:
         print(f"series: {exc}", file=sys.stderr)
@@ -211,8 +213,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_limit = args.max_n if args.max_n is not None else _default_order()
     try:
+        n_limit = args.max_n if args.max_n is not None else _default_order()
         reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
@@ -235,8 +237,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    order = args.order if args.order is not None else _default_order()
     try:
+        order = args.order if args.order is not None else _default_order()
         if args.target == "stern":
             values = [stern(n) for n in range(order)]
         elif args.target == "H":
@@ -262,8 +264,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    order = args.order if args.order is not None else _default_order()
     try:
+        order = args.order if args.order is not None else _default_order()
         if args.which == "gen":
             reports = [verify.check_conjecture_gen(args.max_e, order)]
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add, neg
 
 from .config import DEFAULTS
 
@@ -79,6 +80,40 @@ def stern(n: int) -> int:
 def twisted(n: int) -> int:
     """Sign-twisted diatomic value t(n)."""
     return _TWISTED.value(n)
+
+
+_PREFIXES: dict[Kind, list[int]] = {Kind.STERN: [], Kind.TWISTED: []}
+
+
+def prefix(kind: Kind, length: int) -> list[int]:
+    """The shared table of one of the two recursions, extended in place so
+    that its first `length` entries are [value(0), ..., value(length-1)].
+
+    The table is filled by the recursion in O(length) with whole-slice
+    operations.  It holds exactly as many entries as the longest prefix
+    asked of its kind so far, never more, and lives as long as the process.
+    Callers read it and must not change it.
+    """
+    table = _PREFIXES[kind]
+    if len(table) < length:
+        if len(table) < 2:
+            table[:] = [0, 1][:length]
+        twist = kind is Kind.TWISTED
+        while len(table) < length:
+            # value(2m) and value(2m+1) read value(m) and value(m+1), so a
+            # block [lo, hi) with hi <= 2*lo - 1 reads only filled entries.
+            lo = len(table)
+            hi = min(length, 2 * lo - 1)
+            evens = table[(lo + 1) // 2:(hi + 1) // 2]
+            odds = map(add, table[lo // 2:hi // 2], table[lo // 2 + 1:hi // 2 + 1])
+            if twist:
+                evens = map(neg, evens)
+                odds = map(neg, odds)
+            block = [0] * (hi - lo)
+            block[lo % 2::2] = evens
+            block[1 - lo % 2::2] = odds
+            table += block
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
 """Identity registry and sweep/scan checkers.
 
 The registry is data: each catalogued identity stores its two closed forms
-as plain functions of (e, n), the parameter range it was stated for, and a
-status flag.  Entries whose printed statement disagrees with exhaustive
-computation are kept verbatim and flagged ``suspected-typo``; their
-failures are documented, not hidden, and never fail the build.
-Conjecture checkers likewise only ever produce evidence reports.
+as plain functions of (s, t, e, n), the parameter range it was stated for,
+and a status flag.  `s` and `t` are readers over flat prefixes of the two
+sequences (`sequences.prefix`), which the recursion fills in O(length) and
+which grow only as far as a check reads; the dedicated checkers index the
+same prefixes.
+Entries whose printed statement disagrees with exhaustive computation are
+kept verbatim and flagged ``suspected-typo``; their failures are
+documented, not hidden, and never fail the build.  Conjecture checkers
+likewise only ever produce evidence reports.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .sequences import mod2, stern, twisted, v2
+from .sequences import Kind, mod2, prefix, stern, twisted, v2
 from .series import (
     DivisionError,
     TruncatedSeries,
@@ -32,18 +37,38 @@ class _OutOfDomain(Exception):
     """An argument left the natural numbers; the point is out of range."""
 
 
-def _s(x: int) -> int:
-    """s(x); a negative index puts the point out of domain."""
-    if x < 0:
-        raise _OutOfDomain
-    return stern(x)
+Reader = Callable[[int], int]
+#: One side of an identity: (s, t, e, n) -> value.
+Side = Callable[[Reader, Reader, int, int], int]
 
 
-def _t(x: int) -> int:
-    """t(x); a negative index puts the point out of domain."""
-    if x < 0:
-        raise _OutOfDomain
-    return twisted(x)
+def _reader(kind: Kind, point: Reader, limit: int) -> Reader:
+    """x -> value(x) of one sequence.  Below `limit` the value comes from
+    the kind's prefix, extended on demand by at least an eighth, so that it
+    grows at most an eighth past the furthest read; from `limit` on,
+    point(x) looks the value up on its own.  A negative x puts the point
+    out of domain."""
+    table = prefix(kind, 0)
+    end = min(len(table), limit)
+
+    def read(x: int) -> int:
+        nonlocal end
+        if 0 <= x < end:
+            return table[x]
+        if x < 0:
+            raise _OutOfDomain
+        if x >= limit:
+            return point(x)
+        end = min(limit, max(end + (end >> 3), x + 1))
+        prefix(kind, end)
+        return table[x]
+
+    return read
+
+
+def _readers(limit: int) -> tuple[Reader, Reader]:
+    """(s, t): readers over the first `limit` values of both sequences."""
+    return _reader(Kind.STERN, stern, limit), _reader(Kind.TWISTED, twisted, limit)
 
 
 def _sign(x: int) -> int:
@@ -67,8 +92,8 @@ class IdentityRecord:
     sweep shows it wrong, in which case status says so)."""
 
     identity: str
-    lhs: Callable[[int, int], int]
-    rhs: Callable[[int, int], int]
+    lhs: Side
+    rhs: Side
     n_range: Callable[[int], tuple[int, int]]
     anchor: str
     e_min: int = 0
@@ -91,64 +116,64 @@ def _register(record: IdentityRecord) -> None:
 
 _register(IdentityRecord(
     "STID-S",
-    lambda e, n: _s((1 << e) + n),
-    lambda e, n: _s((1 << e) - n) + _s(n),
+    lambda s, t, e, n: s((1 << e) + n),
+    lambda s, t, e, n: s((1 << e) - n) + s(n),
     lambda e: (0, 1 << e),
     "s(2^e+n) = s(2^e-n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "STID-T",
-    lambda e, n: _t((1 << e) + n),
-    lambda e, n: _sign(e) * (_s((1 << e) - n) - _s(n)),
+    lambda s, t, e, n: t((1 << e) + n),
+    lambda s, t, e, n: _sign(e) * (s((1 << e) - n) - s(n)),
     lambda e: (0, 1 << e),
     "t(2^e+n) = (-1)^e (s(2^e-n) - s(n)), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "STID-T3",
-    lambda e, n: _t((3 << e) + n),
-    lambda e, n: _t((6 << e) - n),
+    lambda s, t, e, n: t((3 << e) + n),
+    lambda s, t, e, n: t((6 << e) - n),
     lambda e: (0, 2 << e),
     "t(3*2^e+n) = t(6*2^e-n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "STID-T3S",
-    lambda e, n: _t((3 << e) + n),
-    lambda e, n: _sign(e) * _s(n),
+    lambda s, t, e, n: t((3 << e) + n),
+    lambda s, t, e, n: _sign(e) * s(n),
     lambda e: (0, 2 << e),
     "t(3*2^e+n) = (-1)^e s(n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "MF1",
-    lambda e, n: _s((2 << e) + n),
-    lambda e, n: _s((1 << e) + n) + _s(n),
+    lambda s, t, e, n: s((2 << e) + n),
+    lambda s, t, e, n: s((1 << e) + n) + s(n),
     lambda e: (0, 1 << e),
     "s(2^(e+1)+n) = s(2^e+n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "MF2",
-    lambda e, n: _t((2 << e) + n) + _t((1 << e) + n),
-    lambda e, n: _sign(e + 1) * _s(n),
+    lambda s, t, e, n: t((2 << e) + n) + t((1 << e) + n),
+    lambda s, t, e, n: _sign(e + 1) * s(n),
     lambda e: (0, 1 << e),
     "t(2^(e+1)+n) + t(2^e+n) = (-1)^(e+1) s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "REC-S",
-    lambda e, n: _s(n),
-    lambda e, n: -_s(n - (1 << e)) + _s(n - (2 << e)) + 2 * _s(n - (3 << e)),
+    lambda s, t, e, n: s(n),
+    lambda s, t, e, n: -s(n - (1 << e)) + s(n - (2 << e)) + 2 * s(n - (3 << e)),
     lambda e: (4 << e, 7 << e),
     "s(n) = -s(n-2^e) + s(n-2*2^e) + 2s(n-3*2^e), 2^(e+2) <= n <= 2^(e+3)-2^e",
 ))
 _register(IdentityRecord(
     "REC-T",
-    lambda e, n: _t(n),
-    lambda e, n: _t(n - (1 << e)) - _t(n - (2 << e)),
+    lambda s, t, e, n: t(n),
+    lambda s, t, e, n: t(n - (1 << e)) - t(n - (2 << e)),
     lambda e: (4 << e, 8 << e),
     "t(n) = t(n-2^e) - t(n-2^(e+1)), 2^(e+2) <= n <= 2^(e+3)",
 ))
 _register(IdentityRecord(
     "ID3",
-    lambda e, n: _s((3 << e) + n),
-    lambda e, n: _s((3 << e) - n),
+    lambda s, t, e, n: s((3 << e) + n),
+    lambda s, t, e, n: s((3 << e) - n),
     lambda e: (0, 1 << e),
     "s(3*2^e+n) = s(3*2^e-n); stated for 0 <= e <= 2^n, "
     "swept as 0 <= n <= 2^e (the stated range reads transposed)",
@@ -156,31 +181,31 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID4",
-    lambda e, n: _s((3 << e) + n),
-    lambda e, n: _s((3 << (e - 1)) + n) + 2 * _s(n),
+    lambda s, t, e, n: s((3 << e) + n),
+    lambda s, t, e, n: s((3 << (e - 1)) + n) + 2 * s(n),
     lambda e: (0, _half_pow(e)),
     "s(3*2^e+n) = s(3*2^(e-1)+n) + 2s(n), 0 <= n <= 2^(e-1)",
     e_min=1,
 ))
 _register(IdentityRecord(
     "ID5",
-    lambda e, n: _t((1 << e) + n),
-    lambda e, n: _t((1 << e) + n - (1 << (e - 2))) - _t((1 << e) + n - (1 << (e - 1))),
+    lambda s, t, e, n: t((1 << e) + n),
+    lambda s, t, e, n: t((1 << e) + n - (1 << (e - 2))) - t((1 << e) + n - (1 << (e - 1))),
     lambda e: (1, 1 << e),
     "t(2^e+n) = t(2^e+n-2^(e-2)) - t(2^e+n-2^(e-1)), e >= 2, 1 <= n <= 2^e",
     e_min=2,
 ))
 _register(IdentityRecord(
     "ID6",
-    lambda e, n: _s((1 << e) + n),
-    lambda e, n: _sign(e) * _t((1 << e) + n) + 2 * _s(n),
+    lambda s, t, e, n: s((1 << e) + n),
+    lambda s, t, e, n: _sign(e) * t((1 << e) + n) + 2 * s(n),
     lambda e: (0, 2 << e),
     "s(2^e+n) = (-1)^e t(2^e+n) + 2s(n), 0 <= n <= 2^(e+1)",
 ))
 _register(IdentityRecord(
     "ID7",
-    lambda e, n: _s((1 << e) + n),
-    lambda e, n: _sign(e) * _t((1 << e) - n) - 3 * _s(n),
+    lambda s, t, e, n: s((1 << e) + n),
+    lambda s, t, e, n: _sign(e) * t((1 << e) - n) - 3 * s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e+n) = (-1)^e t(2^e-n) - 3s(n), 0 <= n <= 2^(e-1) "
     "(fails; see ID7C for the sign-corrected form)",
@@ -188,8 +213,8 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID7C",
-    lambda e, n: _s((1 << e) + n),
-    lambda e, n: _sign(e) * _t((1 << e) - n) + 3 * _s(n),
+    lambda s, t, e, n: s((1 << e) + n),
+    lambda s, t, e, n: _sign(e) * t((1 << e) - n) + 3 * s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e+n) = (-1)^e t(2^e-n) + 3s(n), 0 <= n <= 2^(e-1) "
     "(sign-corrected form of ID7)",
@@ -197,45 +222,45 @@ _register(IdentityRecord(
 ))
 _register(IdentityRecord(
     "ID8",
-    lambda e, n: _s((1 << e) - n),
-    lambda e, n: _sign(e) * _t((1 << e) - n) + 2 * _s(n),
+    lambda s, t, e, n: s((1 << e) - n),
+    lambda s, t, e, n: _sign(e) * t((1 << e) - n) + 2 * s(n),
     lambda e: (0, _half_pow(e)),
     "s(2^e-n) = (-1)^e t(2^e-n) + 2s(n), 0 <= n <= 2^(e-1)",
 ))
 _register(IdentityRecord(
     "ID9",
-    lambda e, n: _s((1 << e) - n),
-    lambda e, n: _sign(e) * _t((1 << e) + n) + _s(n),
+    lambda s, t, e, n: s((1 << e) - n),
+    lambda s, t, e, n: _sign(e) * t((1 << e) + n) + s(n),
     lambda e: (0, 1 << e),
     "s(2^e-n) = (-1)^e t(2^e+n) + s(n), 0 <= n <= 2^e",
 ))
 _register(IdentityRecord(
     "DIV-S",
-    lambda e, n: _s(((2 * n + 1) << e) - 1) + _s(((2 * n + 1) << e) + 1),
-    lambda e, n: (1 + 2 * e) * _s((2 * n + 1) << e),
+    lambda s, t, e, n: s(((2 * n + 1) << e) - 1) + s(((2 * n + 1) << e) + 1),
+    lambda s, t, e, n: (1 + 2 * e) * s((2 * n + 1) << e),
     lambda e: (0, 1 << max(12 - e, 0)),
     "s(m-1) + s(m+1) = (1+2v2(m)) s(m) for all m >= 1, "
     "written with m = 2^e(2n+1) and swept to a cap",
 ))
 _register(IdentityRecord(
     "DIV-T",
-    lambda e, n: _t(((2 * n + 1) << e) - 1) + _t(((2 * n + 1) << e) + 1),
-    lambda e, n: (1 + 2 * e) * _t((2 * n + 1) << e),
+    lambda s, t, e, n: t(((2 * n + 1) << e) - 1) + t(((2 * n + 1) << e) + 1),
+    lambda s, t, e, n: (1 + 2 * e) * t((2 * n + 1) << e),
     lambda e: (2, max(2, 1 << max(12 - e, 0))),
     "t(m-1) + t(m+1) = (1+2v2(m)) t(m) for m = 2^e(2n+1) with 2n+1 >= 5, "
     "outside the exceptional families m in 2^N and 3*2^N",
 ))
 _register(IdentityRecord(
     "MOD2-S",
-    lambda e, n: _s(n) % 2,
-    lambda e, n: n * n % 3,
+    lambda s, t, e, n: s(n) % 2,
+    lambda s, t, e, n: n * n % 3,
     lambda e: (0, 1 << e),
     "s(n) is even iff 3 divides n (n^2 mod 3 is that indicator)",
 ))
 _register(IdentityRecord(
     "MOD2-T",
-    lambda e, n: _t(n) % 2,
-    lambda e, n: n * n % 3,
+    lambda s, t, e, n: t(n) % 2,
+    lambda s, t, e, n: n * n % 3,
     lambda e: (0, 1 << e),
     "t(n) is even iff 3 divides n (n^2 mod 3 is that indicator)",
 ))
@@ -325,18 +350,19 @@ PRINTED_RANGE = "printed-range"
 SCAN = "scan"
 
 
-def _holds(record: IdentityRecord, e: int, n: int):
+def _holds(record: IdentityRecord, s: Reader, t: Reader, e: int, n: int):
     """(lhs, rhs) or None when the point is out of domain."""
     try:
-        return record.lhs(e, n), record.rhs(e, n)
+        return record.lhs(s, t, e, n), record.rhs(s, t, e, n)
     except _OutOfDomain:
         return None
 
 
-def _sweep_one_e(record: IdentityRecord, e: int, report: VerificationReport) -> None:
+def _sweep_one_e(record: IdentityRecord, s: Reader, t: Reader, e: int,
+                 report: VerificationReport) -> None:
     lo, hi = record.n_range(e)
     for n in range(lo, hi + 1):
-        pair = _holds(record, e, n)
+        pair = _holds(record, s, t, e, n)
         if pair is None or pair[0] != pair[1]:
             report.record_failure(
                 (e, n) + (pair if pair is not None else ("out-of-domain", "out-of-domain"))
@@ -345,7 +371,7 @@ def _sweep_one_e(record: IdentityRecord, e: int, report: VerificationReport) -> 
             report.passes += 1
 
 
-def _scan_one_e(record: IdentityRecord, e: int) -> dict:
+def _scan_one_e(record: IdentityRecord, s: Reader, t: Reader, e: int) -> dict:
     """Maximal contiguous valid interval around the stated range's centre.
 
     The scan runs outward until the first failure on each side; the hard
@@ -356,19 +382,19 @@ def _scan_one_e(record: IdentityRecord, e: int) -> dict:
     centre = (lo + hi) // 2
     width = hi - lo + 1
     cap = hi + width + 64
-    pair = _holds(record, e, centre)
+    pair = _holds(record, s, t, e, centre)
     if pair is None or pair[0] != pair[1]:
         return {"lo": centre, "hi": centre - 1, "open_right": False}
     left = centre
     while left > 0:
-        pair = _holds(record, e, left - 1)
+        pair = _holds(record, s, t, e, left - 1)
         if pair is None or pair[0] != pair[1]:
             break
         left -= 1
     right = centre
     open_right = True
     while right < cap:
-        pair = _holds(record, e, right + 1)
+        pair = _holds(record, s, t, e, right + 1)
         if pair is None or pair[0] != pair[1]:
             open_right = False
             break
@@ -378,46 +404,56 @@ def _scan_one_e(record: IdentityRecord, e: int) -> dict:
 
 def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
                    ) -> VerificationReport:
-    """Sweep one catalogued identity over e <= e_max.
+    """Sweep one catalogued identity over record.e_min <= e <= e_max.
 
     printed-range compares both sides on the stated n interval; scan finds
     the maximal contiguous valid interval instead and reports it per e.
+    Both sides read s and t from the prefixes below 9*2^e_max + 1 (the
+    length the determinant families use, past every printed range once
+    e_max >= 11); an index beyond that (scans of REC-S, REC-T and the DIV
+    pair) is looked up on its own.
     """
     record = REGISTRY[identity]
     if n_policy not in (PRINTED_RANGE, SCAN):
         raise ValueError(f"unknown sweep policy {n_policy!r}")
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
+    if e_max < record.e_min:
+        raise ValueError(f"{identity} is stated for e >= {record.e_min}")
     report = VerificationReport(
         identity,
         params=f"e in [{record.e_min}, {e_max}], policy={n_policy}",
         status=record.status,
     )
+    s, t = _readers((9 << e_max) + 1)
     if n_policy == SCAN:
         report.scanned = {}
     for e in range(record.e_min, e_max + 1):
         if n_policy == PRINTED_RANGE:
-            _sweep_one_e(record, e, report)
+            _sweep_one_e(record, s, t, e, report)
         else:
-            found = _scan_one_e(record, e)
+            found = _scan_one_e(record, s, t, e)
             report.scanned[e] = found
             report.passes += max(0, found["hi"] - found["lo"] + 1)
     return report
 
 
 def check_all_identities(e_max: int, jobs: int = 1) -> list[VerificationReport]:
-    """Printed-range sweep of the whole registry, optionally fanning the
-    identities out over worker processes; output order is registry order
-    either way."""
-    ids = list(REGISTRY)
-    if jobs > 1:
+    """Printed-range sweep of every registry entry stated for some
+    e <= e_max, optionally fanned out over at most one worker process per
+    identity; output order is registry order either way.  When no process
+    pool can be had, the sweep runs serially and says so on stderr."""
+    ids = [i for i, record in REGISTRY.items() if record.e_min <= e_max]
+    workers = min(jobs, len(ids))
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_identity_job, [(i, e_max) for i in ids]))
-        except (ImportError, OSError):
-            pass
+        except (ImportError, OSError) as exc:
+            print(f"verify: process pool unavailable ({exc}); ran serially",
+                  file=sys.stderr)
     return [check_identity(i, e_max) for i in ids]
 
 
@@ -434,14 +470,18 @@ def _identity_job(args) -> VerificationReport:
 def check_partial_sums(e_max: int) -> VerificationReport:
     """The four closed forms for partial sums up to 2^e, against direct
     summation."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     report = VerificationReport("PARTIAL-SUMS", params=f"e <= {e_max}")
+    s = prefix(Kind.STERN, (1 << e_max) + 1)
+    t = prefix(Kind.TWISTED, (1 << e_max) + 1)
     sum_s = alt_s = sum_t = alt_t = 0
     n = 0
     for e in range(e_max + 1):
         target = 1 << e
         while n < target:
             n += 1
-            sv, tv = stern(n), twisted(n)
+            sv, tv = s[n], t[n]
             sgn = -1 if n % 2 else 1
             sum_s += sv
             alt_s += sgn * sv
@@ -472,8 +512,10 @@ def det_m(n: int) -> int:
 def check_det_m(limit: int) -> VerificationReport:
     """det M(n) = -2*(-1)^k on 2^k <= n < 2^(k+1), and |det| = 2."""
     report = VerificationReport("DET-M", params=f"1 <= n < {limit}")
+    s = prefix(Kind.STERN, limit + 1)
+    t = prefix(Kind.TWISTED, limit + 1)
     for n in range(1, limit):
-        d = det_m(n)
+        d = s[n] * t[n + 1] - s[n + 1] * t[n]
         k = n.bit_length() - 1
         want = 2 if k % 2 else -2
         if d == want and abs(d) == 2:
@@ -485,10 +527,10 @@ def check_det_m(limit: int) -> VerificationReport:
 
 _DET_FAMILIES = (
     # (tag, sequence feeding the top row, sequence feeding the shifted row)
-    ("SS", stern, stern),
-    ("ST", stern, twisted),
-    ("TS", twisted, stern),
-    ("TT", twisted, twisted),
+    ("SS", Kind.STERN, Kind.STERN),
+    ("ST", Kind.STERN, Kind.TWISTED),
+    ("TS", Kind.TWISTED, Kind.STERN),
+    ("TT", Kind.TWISTED, Kind.TWISTED),
 )
 
 
@@ -510,13 +552,18 @@ def _family_ranges(tag: str, e: int):
 
 def check_det_families(e_max: int) -> VerificationReport:
     """The four two-row determinant families over their stated ranges."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     report = VerificationReport("DET-FAMILIES", params=f"e <= {e_max}")
-    for tag, top_seq, bottom_seq in _DET_FAMILIES:
+    # the TT family reads up to index 2^e + 8*2^e
+    tables = {kind: prefix(kind, (9 << e_max) + 1) for kind in Kind}
+    for tag, top_kind, bottom_kind in _DET_FAMILIES:
+        top, bottom = tables[top_kind], tables[bottom_kind]
         for e in range(e_max + 1):
             p = 1 << e
             for lo, hi, want in _family_ranges(tag, e):
                 for n in range(lo, hi):
-                    det = top_seq(n) * bottom_seq(p + n + 1) - top_seq(n + 1) * bottom_seq(p + n)
+                    det = top[n] * bottom[p + n + 1] - top[n + 1] * bottom[p + n]
                     if det == want:
                         report.passes += 1
                     else:
@@ -538,15 +585,17 @@ def check_divisibility(limit: int) -> VerificationReport:
     if limit < 4:
         raise ValueError("limit must be at least 4")
     report = VerificationReport("DIVISIBILITY", params=f"1 <= n < {limit}")
+    s = prefix(Kind.STERN, limit + 1)
+    t = prefix(Kind.TWISTED, limit + 1)
     for n in range(1, limit):
-        sv = stern(n)
-        s_sum = stern(n - 1) + stern(n + 1)
+        sv = s[n]
+        s_sum = s[n - 1] + s[n + 1]
         if sv > 0 and s_sum == (1 + 2 * v2(n)) * sv:
             report.passes += 1
         else:
             report.record_failure((0, n, s_sum, (1 + 2 * v2(n)) * sv, "s"))
-        tv = twisted(n)
-        t_sum = twisted(n - 1) + twisted(n + 1)
+        tv = t[n]
+        t_sum = t[n - 1] + t[n + 1]
         odd_part = n >> v2(n)
         if odd_part == 3:
             good = tv == 0 and t_sum == 0
@@ -571,10 +620,12 @@ def check_divisibility(limit: int) -> VerificationReport:
 def check_mod2(limit: int) -> VerificationReport:
     """s(n) mod 2 = t(n) mod 2 = the 3-periodic indicator, for n < limit."""
     report = VerificationReport("MOD2", params=f"0 <= n < {limit}")
+    s = prefix(Kind.STERN, limit)
+    t = prefix(Kind.TWISTED, limit)
     for n in range(limit):
         expected = mod2(n)
-        sv = stern(n) % 2
-        tv = twisted(n) % 2
+        sv = s[n] % 2
+        tv = t[n] % 2
         if sv == tv == expected:
             report.passes += 1
         else:
@@ -585,11 +636,14 @@ def check_mod2(limit: int) -> VerificationReport:
 def check_palindrome(e_max: int) -> VerificationReport:
     """The sign-corrected twisted window over [3*2^e, 6*2^e] is a palindrome
     of non-negative values with zero ends, and its centre (e >= 1) is 2."""
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
     report = VerificationReport("PALINDROME", params=f"e <= {e_max}")
+    t = prefix(Kind.TWISTED, (6 << e_max) + 1)
     for e in range(e_max + 1):
         m = 3 << e
         sign = -1 if e % 2 else 1
-        window = [sign * twisted(m + n) for n in range(m + 1)]
+        window = [sign * value for value in t[m:2 * m + 1]]
         for n, value in enumerate(window):
             if value == window[m - n] and value >= 0:
                 report.passes += 1

@@ -70,9 +70,31 @@ def test_series_env_default_order(capsys, monkeypatch):
     # an explicit flag wins over the environment
     code, out = invoke(capsys, ["series", "--name", "stern", "--order", "3", "--format", "json"])
     assert json.loads(out)["order"] == 3
+    # a bad value is never read when the flag is given
     monkeypatch.setenv(ORDER_ENV_VAR, "not-a-number")
+    code, out = invoke(capsys, ["series", "--name", "stern", "--order", "3", "--format", "json"])
+    assert json.loads(out)["order"] == 3
+    monkeypatch.delenv(ORDER_ENV_VAR)
     code, out = invoke(capsys, ["series", "--name", "stern", "--format", "json"])
     assert json.loads(out)["order"] == 1024
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", ""])
+@pytest.mark.parametrize("argv", [
+    ["series", "--name", "stern"],
+    ["verify", "--suite", "mod2"],
+    ["kernel", "--target", "stern"],
+    ["conjecture", "--which", "gen", "--max-e", "2"],
+])
+def test_bad_env_order_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv(ORDER_ENV_VAR, value)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"{argv[0]}: {ORDER_ENV_VAR} must be a natural number, got {value!r}\n"
+    )
 
 
 def test_verify_exit_codes_and_formats(capsys):
@@ -255,3 +277,33 @@ def test_bad_argv_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in captured.err
+
+
+def test_identity_below_its_e_min(capsys):
+    code = run(["scan", "--identity", "ID5", "--e", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "scan: ID5 is stated for e >= 2\n"
+    # the sweep leaves out the identities stated for larger e only
+    code, out = invoke(capsys, ["verify", "--suite", "identities", "--max-e", "0"])
+    assert code == 0
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert "ID4" not in listed and "ID5" not in listed
+    assert len(listed) == 18
+
+
+def test_pool_failure_keeps_stdout(capsys, monkeypatch):
+    import concurrent.futures
+
+    def broken(max_workers):
+        raise OSError("no semaphores")
+
+    argv = ["verify", "--suite", "identities", "--max-e", "3", "--format", "json"]
+    code, expected = invoke(capsys, argv)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken)
+    code = run(argv + ["--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == "verify: process pool unavailable (no semaphores); ran serially\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sterntwist.sequences as sequences
 from sterntwist.sequences import (
     BinaryWord,
     InputTooLargeError,
@@ -15,6 +16,7 @@ from sterntwist.sequences import (
     count_admissible,
     enumerate_admissible,
     mod2,
+    prefix,
     stern,
     twisted,
     v2,
@@ -72,6 +74,48 @@ def test_cache_stores_recursion_consistent_values():
     for n, value in tcache.values.items():
         if n >= 2 and n % 2 == 0 and n // 2 in tcache.values:
             assert value == -tcache.values[n // 2]
+
+
+#: Prefix lengths at the seed and on both sides of the power-of-two block
+#: edges of the fill.
+EDGE_LENGTHS = [0, 1, 2, 3] + [(1 << k) + d for k in range(2, 13) for d in (-1, 0, 1)]
+
+
+def _check_prefix_requests(kind, lengths):
+    """Ask for each length in turn, starting from an empty table: every
+    prefix equals the point values, and the table never grows past the
+    longest length asked for."""
+    table = sequences._PREFIXES[kind]
+    saved = table[:]
+    table.clear()
+    oracle = SequenceCache(kind)
+    try:
+        longest = 0
+        for length in lengths:
+            longest = max(longest, length)
+            assert prefix(kind, length) is table
+            assert table[:max(length, 0)] == [oracle.value(n) for n in range(length)]
+            assert len(table) == longest
+    finally:
+        table[:] = saved
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_prefix_edge_lengths(kind):
+    for length in [-1] + EDGE_LENGTHS:
+        _check_prefix_requests(kind, [length])
+    # extension from every shorter prefix to the next longer one
+    _check_prefix_requests(kind, EDGE_LENGTHS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(Kind)),
+    st.lists(st.sampled_from(EDGE_LENGTHS) | st.integers(min_value=-2, max_value=5000),
+             min_size=1, max_size=4),
+)
+def test_prefix_matches_point_values(kind, lengths):
+    _check_prefix_requests(kind, lengths)
 
 
 @given(st.integers(min_value=0, max_value=1 << 16))

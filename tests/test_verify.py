@@ -42,11 +42,11 @@ def test_registry_contents():
 
 def test_identity_sides():
     record = REGISTRY["STID-S"]
-    assert record.lhs(2, 1) == stern(5) == 3
-    assert record.rhs(2, 1) == stern(3) + stern(1) == 3
+    assert record.lhs(stern, twisted, 2, 1) == stern(5) == 3
+    assert record.rhs(stern, twisted, 2, 1) == stern(3) + stern(1) == 3
 
 
-#: _holds(record, 3, n) for every registry id at three points: one inside the
+#: _holds at e = 3 for every registry id at three points: one inside the
 #: printed range, the first point past the scanned range (the sides differ
 #: there, or leave the domain, except for the open-right scans of DIV-S,
 #: DIV-T and the MOD2 pair), and one point out of domain.
@@ -82,12 +82,13 @@ def test_sides_table_covers_the_registry():
                          SIDES_AT_E3)
 def test_identity_sides_at_e3(identity, inside, inside_pair, past, past_pair, outside):
     record = REGISTRY[identity]
+    s, t = verify._readers(9 << 3)
     lo, hi = record.n_range(3)
     assert lo <= inside <= hi
-    assert verify._holds(record, 3, inside) == inside_pair
+    assert verify._holds(record, s, t, 3, inside) == inside_pair
     assert check_identity(identity, 3, SCAN).scanned[3]["hi"] + 1 == past
-    assert verify._holds(record, 3, past) == past_pair
-    assert verify._holds(record, 3, outside) is None
+    assert verify._holds(record, s, t, 3, past) == past_pair
+    assert verify._holds(record, s, t, 3, outside) is None
 
 
 @pytest.mark.parametrize("identity", CLEAN_IDS)
@@ -256,3 +257,78 @@ def test_scan_report_serialises():
     parsed = json.loads(report.to_json())
     assert parsed["scanned_range"]["3"] == {"lo": 0, "hi": 8, "open_right": False}
     assert "scanned" in report.summary_line()
+
+
+@pytest.mark.parametrize("limit", [0, 1, 16, 1000])
+def test_reader_domain_and_fallback(limit):
+    s, t = verify._readers(limit)
+    with pytest.raises(verify._OutOfDomain):
+        s(-1)
+    with pytest.raises(verify._OutOfDomain):
+        t(-5)
+    # below the limit from the prefix (growing it), at and past it point by point
+    for n in (limit - 1, 0, limit // 2, limit, limit + 1, 5000, (1 << 64) + 3):
+        if n >= 0:
+            assert s(n) == stern(n)
+            assert t(n) == twisted(n)
+
+
+@pytest.mark.parametrize("policy", [verify.PRINTED_RANGE, SCAN])
+@pytest.mark.parametrize("identity", list(REGISTRY))
+def test_tables_match_point_lookups(monkeypatch, identity, policy):
+    table_route = check_identity(identity, 7, policy).to_json()
+    # readers with limit 0 take the point-lookup route at every index
+    readers = verify._readers
+    monkeypatch.setattr(verify, "_readers", lambda limit: readers(0))
+    assert check_identity(identity, 7, policy).to_json() == table_route
+
+
+def test_checkers_reject_negative_e_max():
+    for checker in (check_det_families, check_palindrome, check_partial_sums):
+        with pytest.raises(ValueError, match="e_max must be a natural number"):
+            checker(-1)
+
+
+def test_identities_below_their_e_min():
+    for policy in (verify.PRINTED_RANGE, SCAN):
+        with pytest.raises(ValueError, match="ID5 is stated for e >= 2"):
+            check_identity("ID5", 1, policy)
+        with pytest.raises(ValueError, match="ID4 is stated for e >= 1"):
+            check_identity("ID4", 0, policy)
+    at_0 = [r.identity for r in run_suite("identities", 0, 64)]
+    assert at_0 == [i for i in REGISTRY if i not in ("ID4", "ID5")]
+    at_1 = [r.identity for r in run_suite("identities", 1, 64)]
+    assert at_1 == [i for i in REGISTRY if i != "ID5"]
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in
+    this process, so no worker process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_are_capped_at_one_worker_per_identity(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    serial = [r.to_json() for r in verify.check_all_identities(3)]
+    assert _FakePool.sizes == []
+    pooled = [r.to_json() for r in verify.check_all_identities(3, jobs=100000)]
+    assert _FakePool.sizes == [len(REGISTRY)]
+    assert pooled == serial
+    verify.check_all_identities(1, jobs=100000)
+    assert _FakePool.sizes == [len(REGISTRY), len(REGISTRY) - 1]
