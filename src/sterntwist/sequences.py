@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add, neg
+from typing import ClassVar
 
 from .config import DEFAULTS
 
@@ -213,27 +214,41 @@ def enumerate_admissible(
 
 
 # ---------------------------------------------------------------------------
-# Weighted counting: polynomials in the weight variable w.
+# Integer polynomials, and weighted counting in the weight variable w.
 # ---------------------------------------------------------------------------
 
 
-def _trimmed(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    if not c:
-        c = [0]
-    return tuple(c)
+def _schoolbook_mul(a, b, n: int, zero) -> list:
+    """Coefficients 0..n of a*b.  The outer loop runs over `a` and skips its
+    zeros, so the sparser operand goes first."""
+    out = [zero] * (n + 1)
+    for i, ci in enumerate(a[: n + 1]):
+        if ci:
+            for j, cj in enumerate(b[: n + 1 - i], i):
+                if cj:
+                    out[j] += ci * cj
+    return out
 
 
 @dataclass(frozen=True)
-class WeightPolynomial:
-    """Integer polynomial in w; coeffs[k] is the coefficient of w^k."""
+class IntPolynomial:
+    """Integer polynomial in the variable `var`; coeffs[k] is the coefficient
+    of var^k, and the last one is nonzero unless the polynomial is zero.
+
+    Each subclass names its own variable.  Results keep the operands'
+    class, plain ints mix in, and polynomials of two different classes
+    neither combine nor compare equal.
+    """
 
     coeffs: tuple[int, ...]
+    var: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+        c = tuple(self.coeffs)
+        end = len(c)
+        while end > 1 and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end] or (0,))
 
     @property
     def degree(self) -> int:
@@ -245,12 +260,12 @@ class WeightPolynomial:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    @staticmethod
-    def _lift(other) -> "WeightPolynomial | None":
-        if isinstance(other, WeightPolynomial):
+    @classmethod
+    def _lift(cls, other):
+        if isinstance(other, cls):
             return other
         if isinstance(other, int):
-            return WeightPolynomial((other,))
+            return cls((other,))
         return None
 
     def __add__(self, other):
@@ -263,12 +278,12 @@ class WeightPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return WeightPolynomial(tuple(out))
+        return type(self)(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightPolynomial(tuple(-c for c in self.coeffs))
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -287,13 +302,7 @@ class WeightPolynomial:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    if cj:
-                        out[i + j] += ci * cj
-        return WeightPolynomial(tuple(out))
+        return type(self)(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2, 0)))
 
     __rmul__ = __mul__
 
@@ -304,7 +313,7 @@ class WeightPolynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(("w-poly", self.coeffs))
+        return hash((self.var, self.coeffs))
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -312,8 +321,25 @@ class WeightPolynomial:
             acc = acc * x + c
         return acc
 
+    def shift(self, k: int):
+        """Multiply by var^k."""
+        if k < 0:
+            raise ValueError("shift exponent must be a natural number")
+        return type(self)((0,) * k + self.coeffs)
+
     def __str__(self) -> str:
-        return render_coeffs(self.coeffs, "w")
+        return render_coeffs(self.coeffs, self.var)
+
+
+class WeightPolynomial(IntPolynomial):
+    """Integer polynomial in w; coeffs[k] is the coefficient of w^k.  Its
+    products stay schoolbook: S and S_e have small degree and coefficients."""
+
+    var = "w"
+    # Bound in this class too: perfbench/tracer.py wraps the methods found
+    # in a class's own __dict__.
+    __add__ = __radd__ = IntPolynomial.__add__
+    __mul__ = __rmul__ = IntPolynomial.__mul__
 
 
 ZERO_W = WeightPolynomial((0,))
@@ -335,45 +361,37 @@ def render_coeffs(coeffs, var: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-_W_STERN: dict[int, WeightPolynomial] = {}
-_W_EVEN: dict[int, WeightPolynomial] = {}
-_W_ALT: dict[int, WeightPolynomial] = {}
+def _weighted_pair(n: int) -> tuple[WeightPolynomial, WeightPolynomial]:
+    """(S(n), S_e(n)) by one fold of the binary digits of n, top bit first,
+    from (S(0), S_e(0)) = (0, 1).  It never recurses and keeps no memo.
+
+        S(2m)   = S(m)             S_e(2m)   = w*S(m) + S_e(m)
+        S(2m+1) = S(m) + S_e(m)    S_e(2m+1) = S_e(m)
+    """
+    if n < 0:
+        raise ValueError("weighted counts need a natural number")
+    s, se = ZERO_W, ONE_W
+    for shift in range(n.bit_length() - 1, -1, -1):
+        if (n >> shift) & 1:
+            s = s + se
+        else:
+            se = s.shift(1) + se
+    return s, se
 
 
 def weighted_stern(n: int) -> WeightPolynomial:
     """S(n): subsequences of the binary digits of n of the form 1(01)^k
-    counted with weight w^k, via the mutual recursion with S_e."""
-    got = _W_STERN.get(n)
-    if got is not None:
-        return got
-    if n == 0:
-        r = ZERO_W
-    elif n == 1:
-        r = ONE_W
-    elif n % 2 == 0:
-        r = weighted_stern(n // 2)
-    else:
-        m = n // 2
-        r = weighted_stern(m) + weighted_even(m)
-    _W_STERN[n] = r
-    return r
+    counted with weight w^k."""
+    return _weighted_pair(n)[0]
 
 
 def weighted_even(n: int) -> WeightPolynomial:
     """S_e(n): subsequences of the form (10)^k with weight w^k; the empty
     subsequence is the k=0 case and always contributes 1."""
-    got = _W_EVEN.get(n)
-    if got is not None:
-        return got
-    if n <= 1:
-        r = ONE_W
-    elif n % 2 == 0:
-        m = n // 2
-        r = W * weighted_stern(m) + weighted_even(m)
-    else:
-        r = weighted_even(n // 2)
-    _W_EVEN[n] = r
-    return r
+    return _weighted_pair(n)[1]
+
+
+_W_ALT: dict[int, WeightPolynomial] = {}
 
 
 def weighted_stern_alt(n: int) -> WeightPolynomial:

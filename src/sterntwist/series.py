@@ -11,7 +11,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .sequences import WeightPolynomial, render_coeffs, stern, twisted
+from .sequences import (
+    ONE_W,
+    ZERO_W,
+    IntPolynomial,
+    WeightPolynomial,
+    _schoolbook_mul,
+    render_coeffs,
+    stern,
+    twisted,
+)
 
 
 class Ring(Enum):
@@ -33,7 +42,7 @@ def _zero(ring: Ring):
         return 0
     if ring is Ring.RATIONAL:
         return Fraction(0)
-    return WeightPolynomial((0,))
+    return ZERO_W
 
 
 def _one(ring: Ring):
@@ -41,7 +50,7 @@ def _one(ring: Ring):
         return 1
     if ring is Ring.RATIONAL:
         return Fraction(1)
-    return WeightPolynomial((1,))
+    return ONE_W
 
 
 def _coerce(ring: Ring, x):
@@ -55,27 +64,22 @@ def _coerce(ring: Ring, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise TypeError(f"{x!r} is not a rational-ring element")
-    if isinstance(x, WeightPolynomial):
-        return x
-    if isinstance(x, int):
-        return WeightPolynomial((x,))
+    p = WeightPolynomial._lift(x)
+    if p is not None:
+        return p
     raise TypeError(f"{x!r} is not a w-polynomial-ring element")
 
 
 def _is_unit(ring: Ring, x) -> bool:
-    if ring is Ring.INTEGER:
-        return x in (1, -1)
     if ring is Ring.RATIONAL:
         return x != 0
-    return isinstance(x, WeightPolynomial) and x.degree == 0 and x.coeffs[0] in (1, -1)
+    return x in (1, -1)
 
 
 def _unit_div(ring: Ring, a, unit):
     if ring is Ring.RATIONAL:
         return a / unit
-    if ring is Ring.INTEGER:
-        return a * unit  # unit is +-1
-    return a * unit.coeffs[0]
+    return a * unit  # unit is +-1
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +99,6 @@ def _unit_div(ring: Ring, a, unit):
 #: division stays ahead of Newton well past that, and the denominators in use
 #: have at most two tail terms or are dense.
 SPARSE_TERMS = 32
-
-
-def _schoolbook_mul(a, b, n: int, zero) -> list:
-    """Coefficients 0..n of a*b, with the sparser operand `a` outside."""
-    out = [zero] * (n + 1)
-    for i, ci in enumerate(a):
-        if ci:
-            for j in range(min(len(b), n + 1 - i)):
-                cj = b[j]
-                if cj:
-                    out[i + j] += ci * cj
-    return out
 
 
 def _kron_mul(a, b, n: int) -> list[int]:
@@ -399,72 +391,14 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _trim_poly(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    if not c:
-        c = [0]
-    return tuple(c)
+class DensePolynomial(IntPolynomial):
+    """Dense integer polynomial in z; products go through the series kernel."""
 
-
-@dataclass(frozen=True)
-class DensePolynomial:
-    """Dense integer polynomial in z; trailing coefficient nonzero unless
-    the polynomial is zero."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim_poly(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    var = "z"
 
     @property
     def constant_term(self) -> int:
         return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    @staticmethod
-    def _lift(other) -> "DensePolynomial | None":
-        if isinstance(other, DensePolynomial):
-            return other
-        if isinstance(other, int):
-            return DensePolynomial((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePolynomial(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DensePolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -488,15 +422,6 @@ class DensePolynomial:
             e >>= 1
         return result
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(("z-poly", self.coeffs))
-
     def derivative(self) -> "DensePolynomial":
         if self.degree == 0:
             return DensePolynomial((0,))
@@ -511,17 +436,8 @@ class DensePolynomial:
             out[i * k] = c
         return DensePolynomial(tuple(out))
 
-    def shift(self, k: int) -> "DensePolynomial":
-        """Multiply by z^k."""
-        if k < 0:
-            raise ValueError("shift exponent must be a natural number")
-        return DensePolynomial((0,) * k + self.coeffs)
-
     def to_series(self, order: int, ring: Ring = Ring.INTEGER) -> TruncatedSeries:
         return TruncatedSeries.from_coeffs(self.coeffs, ring, order)
-
-    def __str__(self) -> str:
-        return render_coeffs(self.coeffs, "z")
 
 
 def infinite_product(poly: DensePolynomial, k: int, order: int,

@@ -571,10 +571,6 @@ def check_det_families(e_max: int) -> VerificationReport:
     return report
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 def check_divisibility(limit: int) -> VerificationReport:
     """Divisibility laws for both sequences up to `limit`.
 
@@ -588,28 +584,29 @@ def check_divisibility(limit: int) -> VerificationReport:
     s = prefix(Kind.STERN, limit + 1)
     t = prefix(Kind.TWISTED, limit + 1)
     for n in range(1, limit):
+        v = v2(n)
+        odd_part = n >> v
         sv = s[n]
         s_sum = s[n - 1] + s[n + 1]
-        if sv > 0 and s_sum == (1 + 2 * v2(n)) * sv:
+        want = (1 + 2 * v) * sv
+        if sv > 0 and s_sum == want:
             report.passes += 1
         else:
-            report.record_failure((0, n, s_sum, (1 + 2 * v2(n)) * sv, "s"))
+            report.record_failure((0, n, s_sum, want, "s"))
         tv = t[n]
         t_sum = t[n - 1] + t[n + 1]
-        odd_part = n >> v2(n)
         if odd_part == 3:
             good = tv == 0 and t_sum == 0
             want = 0
         elif n == 1:
             good = t_sum == -1 * tv
             want = -tv
-        elif _is_power_of_two(n):
-            e = v2(n)
-            good = tv != 0 and t_sum == (1 + 2 * (e - 2)) * tv
-            want = (1 + 2 * (e - 2)) * tv
+        elif odd_part == 1:
+            want = (1 + 2 * (v - 2)) * tv
+            good = tv != 0 and t_sum == want
         else:
-            good = tv != 0 and t_sum == (1 + 2 * v2(n)) * tv
-            want = (1 + 2 * v2(n)) * tv
+            want = (1 + 2 * v) * tv
+            good = tv != 0 and t_sum == want
         if good:
             report.passes += 1
         else:

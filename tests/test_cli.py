@@ -1,11 +1,17 @@
+import io
 import json
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sterntwist.cli import BFile, BFileFormatError, parse_bfile, run
 from sterntwist.config import ORDER_ENV_VAR
 from sterntwist.regularity import h_series
 from sterntwist.sequences import stern
+from sterntwist.verify import REGISTRY, SUITES
 
 
 def invoke(capsys, argv):
@@ -33,6 +39,14 @@ def test_seq_formats(capsys):
     assert out.strip() == "11 3 + 2*w"
     code, out = invoke(capsys, ["seq", "--kind", "Se", "--from", "6", "--to", "6", "--format", "json"])
     assert json.loads(out)["values"] == [["1", "2"]]
+
+
+def test_seq_weighted_far_past_the_recursion_limit(capsys):
+    n = 1 << 1500
+    code, out = invoke(capsys, ["seq", "--kind", "S", "--from", str(n + 1), "--to", str(n + 1)])
+    assert code == 0 and out == f"{n + 1} 2 + 1499*w\n"
+    code, out = invoke(capsys, ["seq", "--kind", "Se", "--from", str(n), "--to", str(n)])
+    assert code == 0 and out == f"{n} 1 + 1500*w\n"
 
 
 def test_seq_bad_range(capsys):
@@ -307,3 +321,98 @@ def test_pool_failure_keeps_stdout(capsys, monkeypatch):
     assert code == 0
     assert captured.out == expected
     assert captured.err == "verify: process pool unavailable (no semaphores); ran serially\n"
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over generated argv: 0 ok, 1 only with a FAIL line,
+# 2 for usage or input errors, never a traceback.  Sizes stay small, every
+# order is given on the command line and --jobs stays at most 1, so no
+# example reads the environment or starts a process.
+# ---------------------------------------------------------------------------
+
+#: n of about 1500 and 6000 bits.  Hypothesis raises the recursion limit by
+#: about 2000 frames while a test runs, so only the larger one still
+#: overflows a recursion that is one frame deep per binary digit.
+BIG = (1 << 1500, 1 << 6000)
+
+
+def _num(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _near_big():
+    return st.tuples(st.sampled_from(BIG), st.integers(-2, 2)).map(sum)
+
+
+def _fmt(*choices):
+    return _opt("--format", st.sampled_from(choices))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["seq", "series", "verify", "scan", "kernel", "conjecture", "count"]))
+    if command == "seq":
+        start = draw(st.one_of(st.integers(-3, 300), _near_big()))
+        end = start + draw(st.integers(-2, 6))
+        return (["seq", "--kind", draw(st.sampled_from(["s", "t", "S", "Se"])),
+                 "--from", str(start), "--to", str(end)] + draw(_fmt("text", "csv", "json")))
+    if command == "series":
+        name = draw(st.sampled_from(
+            ["stern", "twisted", "carlitz", "psi", "H", "C", "u", "A", "B", "binpart"]))
+        return (["series", "--name", name, "--order", draw(_num(-2, 256))]
+                + draw(_opt("--e", _num(-2, 5))) + draw(_fmt("text", "json")))
+    if command == "verify":
+        return (["verify", "--suite", draw(st.sampled_from(SUITES)),
+                 "--max-e", draw(_num(-2, 5)), "--max-n", draw(_num(-5, 512))]
+                + draw(_opt("--jobs", _num(-2, 1))) + draw(_fmt("table", "json")))
+    if command == "scan":
+        identity = draw(st.sampled_from(list(REGISTRY) + ["NOPE"]))
+        return ["scan", "--identity", identity, "--e", draw(_num(-2, 5))] + draw(
+            _fmt("table", "json"))
+    if command == "kernel":
+        target = draw(st.sampled_from(["stern", "H", "C", "binpart"]))
+        return (["kernel", "--target", target, "--order", draw(_num(-2, 256))]
+                + draw(_opt("--k", _num(-1, 4))) + draw(_opt("--depth", _num(-1, 6)))
+                + draw(_fmt("table", "json")))
+    if command == "conjecture":
+        return (["conjecture", "--which", draw(st.sampled_from(["gen", "ab"])),
+                 "--max-e", draw(_num(-2, 5)), "--order", draw(_num(-2, 256))]
+                + draw(_fmt("table", "json")))
+    n = draw(st.one_of(st.integers(-3, 1 << 64), _near_big()))
+    pattern = draw(st.sampled_from(["admissible", "ones", "factor11"]))
+    return ["count", "--pattern", pattern, "--n", str(n)] + draw(
+        st.sampled_from([[], ["--weighted"]]))
+
+
+def run_like_main(argv):
+    """(exit code, stdout, stderr) as `sterntwist <argv>` would give them:
+    an escaping exception prints its traceback and exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["seq", "--kind", "S", "--from", str(BIG[0] + 1), "--to", str(BIG[0] + 1)])
+@example(["seq", "--kind", "Se", "--from", str(BIG[0]), "--to", str(BIG[0])])
+@example(["seq", "--kind", "S", "--from", str(BIG[1] + 1), "--to", str(BIG[1] + 1)])
+@example(["seq", "--kind", "Se", "--from", str(BIG[1]), "--to", str(BIG[1])])
+def test_exit_code_contract(argv):
+    code, out, err = run_like_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        assert any("FAIL" in line for line in out.splitlines()), (argv, out)

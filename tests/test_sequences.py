@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sterntwist.sequences as sequences
+from sterntwist.ratwords import (
+    admissible_representation,
+    count_in_expansion,
+    subsequence_transform,
+)
 from sterntwist.sequences import (
     BinaryWord,
     InputTooLargeError,
@@ -204,6 +210,27 @@ def test_weighted_routes_agree(n):
     assert direct_s == expected
     assert direct_se == weighted_even(n)
     assert expected.evaluate(1) == stern(n)
+
+
+def test_weighted_fold_matches_automaton_at_1500_bits():
+    # far past the recursion limit: the digit fold never recurses
+    automaton = subsequence_transform(admissible_representation(weighted=True))
+    rng = random.Random(1500)
+    for _ in range(4):
+        n = rng.getrandbits(1500) | (1 << 1499)
+        assert weighted_stern(n) == count_in_expansion(automaton, n, 2)
+    n = 1 << 1500
+    assert weighted_stern(n + 1) == WeightPolynomial((2, 1499))
+    assert weighted_even(n) == WeightPolynomial((1, 1500))
+    assert weighted_count_direct(n + 1, guard_bits=1501) == (
+        weighted_stern(n + 1), weighted_even(n + 1)
+    )
+
+
+def test_weighted_counts_reject_negative_n():
+    for fn in (weighted_stern, weighted_even):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 def test_weighted_coefficients_nonnegative():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sterntwist.sequences import stern, twisted
+from sterntwist.sequences import WeightPolynomial, stern, twisted
 from sterntwist.series import (
     DensePolynomial,
     DivisionError,
@@ -202,6 +202,40 @@ def test_dense_polynomial():
     assert p.substitute_power(2).coeffs == (1, 0, 1, 0, 1)
     assert p.shift(2).coeffs == (0, 0, 1, 1, 1)
     assert str(DensePolynomial((0, 1, 1))) == "0 + 1*z + 1*z^2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),
+       st.integers(min_value=-3, max_value=3))
+def test_w_and_z_polynomials_share_one_arithmetic(a, b, c):
+    # z-products go through the series kernel, w-products through the
+    # schoolbook loop; every other operation is the same code
+    za, zb = DensePolynomial(tuple(a)), DensePolynomial(tuple(b))
+    wa, wb = WeightPolynomial(tuple(a)), WeightPolynomial(tuple(b))
+    for z, w in [(za + zb, wa + wb), (za - zb, wa - wb), (za * zb, wa * wb), (-za, -wa),
+                 (c + za, c + wa), (c - za, c - wa), (c * za, c * wa), (za.shift(2), wa.shift(2))]:
+        assert type(z) is DensePolynomial and type(w) is WeightPolynomial
+        assert z.coeffs == w.coeffs
+    assert za.evaluate(c) == wa.evaluate(c)
+    assert bool(za) == bool(wa) == any(a)
+    assert str(za).replace("z", "w") == str(wa)
+
+
+def test_w_and_z_polynomials_never_mix():
+    z, w = DensePolynomial((1, 2)), WeightPolynomial((1, 2))
+    assert z != w and w != z
+    assert z == DensePolynomial((1, 2, 0)) and hash(z) == hash(DensePolynomial((1, 2, 0)))
+    assert DensePolynomial((3,)) == 3 and WeightPolynomial((3,)) == 3
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            op(z, w)
+        with pytest.raises(TypeError):
+            op(w, z)
+    assert str(z) == "1 + 2*z" and str(w) == "1 + 2*w"
+    assert repr(z) == "DensePolynomial(coeffs=(1, 2))"
+    with pytest.raises(ValueError):
+        w.shift(-1)
 
 
 @given(st.integers(min_value=1, max_value=64))
