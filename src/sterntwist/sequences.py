@@ -313,6 +313,9 @@ class IntPolynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it too
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
         return hash((self.var, self.coeffs))
 
     def evaluate(self, x: int) -> int:
@@ -391,36 +394,51 @@ def weighted_even(n: int) -> WeightPolynomial:
     return _weighted_pair(n)[1]
 
 
-_W_ALT: dict[int, WeightPolynomial] = {}
+def _alt_parts(n: int) -> tuple[int, ...]:
+    """The smaller arguments weighted_stern_alt(n) is made of, for n >= 2."""
+    if n % 2 == 0:
+        return (n >> v2(n),)
+    if n % 4 == 1:
+        m = (n - 1) // 4
+        return (2 * m, 2 * m + 1)
+    m = (n + 1) // 4
+    q = (m >> v2(m)) // 2
+    return (2 * m - 1, 2 * q + 1, 2 * q)
 
 
 def weighted_stern_alt(n: int) -> WeightPolynomial:
     """S(n) again, through the recursion that splits odd arguments mod 4;
     the 4m-1 branch decomposes m as 2^a(2q+1).  Must agree with
-    weighted_stern everywhere."""
-    got = _W_ALT.get(n)
-    if got is not None:
-        return got
-    if n == 0:
-        r = ZERO_W
-    elif n == 1:
-        r = ONE_W
-    elif n % 2 == 0:
-        r = weighted_stern_alt(n // 2)
-    elif n % 4 == 1:
-        m = (n - 1) // 4
-        r = W * weighted_stern_alt(2 * m) + weighted_stern_alt(2 * m + 1)
-    else:
-        m = (n + 1) // 4
-        a = v2(m)
-        q = (m >> a) // 2
-        r = (
-            weighted_stern_alt(2 * m - 1)
-            + weighted_stern_alt(2 * q + 1)
-            + (W - 1) * weighted_stern_alt(2 * q)
-        )
-    _W_ALT[n] = r
-    return r
+    weighted_stern everywhere.
+
+        S(2^a m) = S(m)
+        S(4m+1)  = w*S(2m) + S(2m+1)
+        S(4m-1)  = S(2m-1) + S(2q+1) + (w-1)*S(2q)
+
+    Every argument on the right is smaller than the one on the left, so
+    one pass collects the arguments n needs and a second evaluates them in
+    increasing order.  Nothing recurses, so deep n raise no RecursionError,
+    and the memo lives for one call.
+    """
+    if n < 0:
+        raise ValueError("weighted counts need a natural number")
+    parts: dict[int, tuple[int, ...]] = {}
+    stack = [n]
+    while stack:
+        x = stack.pop()
+        if x > 1 and x not in parts:
+            parts[x] = _alt_parts(x)
+            stack.extend(parts[x])
+    memo = {0: ZERO_W, 1: ONE_W}
+    for x in sorted(parts):
+        p = parts[x]
+        if x % 2 == 0:
+            memo[x] = memo[p[0]]
+        elif x % 4 == 1:
+            memo[x] = W * memo[p[0]] + memo[p[1]]
+        else:
+            memo[x] = memo[p[0]] + memo[p[1]] + (W - 1) * memo[p[2]]
+    return memo[n]
 
 
 def weighted_count_direct(

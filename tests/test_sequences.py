@@ -227,8 +227,19 @@ def test_weighted_fold_matches_automaton_at_1500_bits():
     )
 
 
+def test_weighted_alt_route_far_past_the_recursion_limit():
+    # the mod-4 route runs on an explicit stack, not on Python recursion
+    n = (1 << 1500) + 1
+    assert weighted_stern_alt(n) == weighted_stern(n) == WeightPolynomial((2, 1499))
+    rng = random.Random(1501)
+    for _ in range(3):
+        n = rng.getrandbits(1500) | (1 << 1499)
+        assert weighted_stern_alt(n) == weighted_stern(n)
+    assert not hasattr(sequences, "_W_ALT")
+
+
 def test_weighted_counts_reject_negative_n():
-    for fn in (weighted_stern, weighted_even):
+    for fn in (weighted_stern, weighted_even, weighted_stern_alt):
         with pytest.raises(ValueError):
             fn(-1)
 

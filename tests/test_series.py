@@ -238,6 +238,17 @@ def test_w_and_z_polynomials_never_mix():
         w.shift(-1)
 
 
+@pytest.mark.parametrize("cls", [WeightPolynomial, DensePolynomial])
+def test_constant_polynomials_hash_like_their_int(cls):
+    for c in (3, 0, -7, 1 << 70):
+        assert cls((c,)) == c and hash(cls((c,))) == hash(c)
+        assert len({c, cls((c,))}) == 1
+        assert len({c, cls((c, 0, 0))}) == 1
+    assert len({3, WeightPolynomial((3,)), DensePolynomial((3,))}) == 1
+    assert cls(()) == 0 and len({0, cls(())}) == 1
+    assert {cls((1, 2)): "p"}[cls((1, 2, 0))] == "p"
+
+
 @given(st.integers(min_value=1, max_value=64))
 def test_trinomial_telescoping(a):
     plus = DensePolynomial((1,) + (0,) * (a - 1) + (1,) + (0,) * (a - 1) + (1,))

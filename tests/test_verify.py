@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sterntwist.columns import Column, Span
 from sterntwist.sequences import stern, twisted
 import sterntwist.verify as verify
 from sterntwist.verify import (
@@ -10,6 +11,7 @@ from sterntwist.verify import (
     REGISTRY,
     SCAN,
     SUSPECTED_TYPO,
+    VerificationReport,
     check_conjecture_ab,
     check_conjecture_gen,
     check_det_families,
@@ -46,10 +48,106 @@ def test_identity_sides():
     assert record.rhs(stern, twisted, 2, 1) == stern(3) + stern(1) == 3
 
 
-#: _holds at e = 3 for every registry id at three points: one inside the
-#: printed range, the first point past the scanned range (the sides differ
-#: there, or leave the domain, except for the open-right scans of DIV-S,
-#: DIV-T and the MOD2 pair), and one point out of domain.
+class _Outside(Exception):
+    """A read at a negative index: the point is out of domain."""
+
+
+def _point_reader(value):
+    def read(x):
+        if x < 0:
+            raise _Outside
+        return value(x)
+    return read
+
+
+_S, _T = _point_reader(stern), _point_reader(twisted)
+
+
+def _point(record, e, n):
+    """(lhs, rhs) at one point, the registry sides called with an int n,
+    or None when a read leaves the domain: the per-point oracle."""
+    try:
+        return record.lhs(_S, _T, e, n), record.rhs(_S, _T, e, n)
+    except _Outside:
+        return None
+
+
+def _holds(record, e, n):
+    pair = _point(record, e, n)
+    return pair is not None and pair[0] == pair[1]
+
+
+def _oracle_scan(record, e):
+    lo, hi = record.n_range(e)
+    centre = (lo + hi) // 2
+    cap = hi + (hi - lo + 1) + 64
+    if not _holds(record, e, centre):
+        return {"lo": centre, "hi": centre - 1, "open_right": False}
+    left = centre
+    while left > 0 and _holds(record, e, left - 1):
+        left -= 1
+    right = centre
+    while right < cap and _holds(record, e, right + 1):
+        right += 1
+    return {"lo": left, "hi": right, "open_right": right == cap}
+
+
+def _oracle(record, e_max, policy):
+    """check_identity's report, computed one point at a time."""
+    report = VerificationReport(
+        record.identity,
+        params=f"e in [{record.e_min}, {e_max}], policy={policy}",
+        status=record.status,
+    )
+    if policy == SCAN:
+        report.scanned = {}
+    for e in range(record.e_min, e_max + 1):
+        if policy == SCAN:
+            found = report.scanned[e] = _oracle_scan(record, e)
+            report.passes += max(0, found["hi"] - found["lo"] + 1)
+            continue
+        lo, hi = record.n_range(e)
+        for n in range(lo, hi + 1):
+            pair = _point(record, e, n)
+            if pair is None:
+                report.record_failure((e, n, "out-of-domain", "out-of-domain"))
+            elif pair[0] != pair[1]:
+                report.record_failure((e, n) + pair)
+            else:
+                report.passes += 1
+    return report
+
+
+@pytest.mark.parametrize("identity", list(REGISTRY))
+def test_columns_match_point_oracle(identity):
+    record = REGISTRY[identity]
+    for e_max in range(record.e_min, 10):
+        for policy in (verify.PRINTED_RANGE, SCAN):
+            want = _oracle(record, e_max, policy).to_json()
+            assert check_identity(identity, e_max, policy).to_json() == want
+
+
+def _block_at(record, e, points):
+    """(lhs, rhs) or None at each of `points`, read off one block of the
+    column route that spans them all."""
+    lo = min(points)
+    count = max(points) - lo + 1
+    s, t = verify._readers(9 << 3)
+    n = Span(lo, 1, count)
+    lhs = record.lhs(s, t, e, n)
+    rhs = record.rhs(s, t, e, n)
+    out = []
+    for x in points:
+        k = x - lo
+        inside = max(lhs.lo, rhs.lo) <= k < min(lhs.hi, rhs.hi)
+        out.append((lhs.values[k], rhs.values[k]) if inside else None)
+    return out
+
+
+#: Both sides at e = 3 for every registry id at three points: one inside
+#: the printed range, the first point past the scanned range (the sides
+#: differ there, or leave the domain, except for the open-right scans of
+#: DIV-S, DIV-T and the MOD2 pair), and one point out of domain.
 SIDES_AT_E3 = [
     ("STID-S", 4, (2, 2), 9, None, 9),
     ("STID-T", 4, (0, 0), 9, None, 9),
@@ -82,13 +180,105 @@ def test_sides_table_covers_the_registry():
                          SIDES_AT_E3)
 def test_identity_sides_at_e3(identity, inside, inside_pair, past, past_pair, outside):
     record = REGISTRY[identity]
-    s, t = verify._readers(9 << 3)
     lo, hi = record.n_range(3)
     assert lo <= inside <= hi
-    assert verify._holds(record, s, t, 3, inside) == inside_pair
     assert check_identity(identity, 3, SCAN).scanned[3]["hi"] + 1 == past
-    assert verify._holds(record, s, t, 3, past) == past_pair
-    assert verify._holds(record, s, t, 3, outside) is None
+    points = (inside, past, outside)
+    expected = [inside_pair, past_pair, None]
+    assert [_point(record, 3, n) for n in points] == expected
+    assert _block_at(record, 3, points) == expected
+    for n, pair in zip(points, expected):
+        assert _block_at(record, 3, [n]) == [pair]
+
+
+def _synthetic(lhs, rhs, n_range, e_min=0):
+    return verify.IdentityRecord("SYNTH", lhs, rhs, n_range, "built in the test", e_min)
+
+
+def _check_against_oracle(monkeypatch, record, e_max=1):
+    monkeypatch.setitem(REGISTRY, record.identity, record)
+    reports = []
+    for policy in (verify.PRINTED_RANGE, SCAN):
+        got = check_identity(record.identity, e_max, policy)
+        assert got.to_json() == _oracle(record, e_max, policy).to_json()
+        reports.append(got)
+    return reports
+
+
+B = verify.BLOCK
+#: (lo, number of points) of the synthetic printed ranges: one short of a
+#: block, one block, one past, starting on and off a multiple of a block.
+SYNTH_RANGES = [(lo, size) for lo in (0, 5, B + 3) for size in (B - 1, B, B + 1)]
+#: A prime past every index a synthetic scan reads.
+PRIME = 65537
+
+
+def _spots(lo, size):
+    """n worth a failure: the ends of each block of the sweep and of the
+    scan, which runs outward from the centre to its right cap, and points
+    next to them."""
+    hi = lo + size - 1
+    centre = (lo + hi) // 2
+    cap = hi + size + 64
+    near = {lo, hi, lo + B - 1, lo + B, centre, centre + 1, centre - 1,
+            centre + B - 1, centre + B, centre - B, centre - B - 1, hi + 1, hi + 2,
+            cap - 1, cap, cap + 1}
+    return sorted(x for x in near if x >= 0)
+
+
+@pytest.mark.parametrize("lo, size", SYNTH_RANGES)
+def test_synthetic_failures_at_block_edges(monkeypatch, lo, size):
+    for c in _spots(lo, size):
+        # (n-c)^2 mod a prime vanishes only at n = c, where rhs reads PRIME
+        record = _synthetic(
+            lambda s, t, e, n, c=c: s(n) + (n - c) * (n - c) % PRIME,
+            lambda s, t, e, n, c=c: s(n) + ((n - c) * (n - c) + PRIME - 1) % PRIME + 1,
+            lambda e: (lo, lo + size - 1),
+        )
+        printed, _ = _check_against_oracle(monkeypatch, record)
+        # one failure at each of e = 0 and e = 1 when c is in the range
+        assert printed.failures == (2 if lo <= c < lo + size else 0)
+
+
+@pytest.mark.parametrize("lo, size", SYNTH_RANGES)
+def test_synthetic_domain_edges_inside_blocks(monkeypatch, lo, size):
+    hi = lo + size - 1
+    for cut in (lo + 7, lo + B // 2, (lo + hi) // 2 + 3, hi - 9):
+        sides = [
+            # out of domain below the cut, above it, or both, as read by
+            # ascending, descending and strided spans
+            (lambda s, t, e, n: s(n - cut), lambda s, t, e, n: s(n - cut) + 0 * t(n)),
+            (lambda s, t, e, n: t(cut - n) * 2, lambda s, t, e, n: 2 * t(cut - n)),
+            (lambda s, t, e, n: s(3 * n - cut) - t((hi - n) << 1),
+             lambda s, t, e, n: -t(2 * hi - (n << 1)) + s(3 * n - cut)),
+            (lambda s, t, e, n: s(cut - n), lambda s, t, e, n: s(n - lo - 11)),
+        ]
+        for lhs, rhs in sides:
+            _check_against_oracle(monkeypatch, _synthetic(lhs, rhs, lambda e: (lo, hi)))
+
+
+@pytest.mark.parametrize("lo, size", SYNTH_RANGES)
+def test_synthetic_failures_past_the_counterexample_cap(monkeypatch, lo, size):
+    record = _synthetic(
+        lambda s, t, e, n: (n - 1) * (n - 1) % 3,
+        lambda s, t, e, n: n * n % 1 + 1,
+        lambda e: (lo, lo + size - 1),
+    )
+    printed, _ = _check_against_oracle(monkeypatch, record)
+    assert printed.failures > verify.MAX_COUNTEREXAMPLES
+    assert len(printed.counterexamples) == verify.MAX_COUNTEREXAMPLES
+    # out-of-domain points and failures interleaved in n order
+    record = _synthetic(
+        lambda s, t, e, n: s(n - lo - 5) % 2,
+        lambda s, t, e, n: n * n % 3,
+        lambda e: (lo, lo + size - 1),
+    )
+    printed, _ = _check_against_oracle(monkeypatch, record, e_max=0)
+    assert printed.counterexamples[0][2] == "out-of-domain"
+
+
+def test_block_bound():
+    assert 1 <= verify.BLOCK <= 1 << 12
 
 
 @pytest.mark.parametrize("identity", CLEAN_IDS)
@@ -262,15 +452,49 @@ def test_scan_report_serialises():
 @pytest.mark.parametrize("limit", [0, 1, 16, 1000])
 def test_reader_domain_and_fallback(limit):
     s, t = verify._readers(limit)
-    with pytest.raises(verify._OutOfDomain):
-        s(-1)
-    with pytest.raises(verify._OutOfDomain):
-        t(-5)
+    for read, x in ((s, -1), (t, -5)):
+        column = read(Span(x, 1, 1))
+        assert column.lo >= column.hi
     # below the limit from the prefix (growing it), at and past it point by point
     for n in (limit - 1, 0, limit // 2, limit, limit + 1, 5000, (1 << 64) + 3):
         if n >= 0:
-            assert s(n) == stern(n)
-            assert t(n) == twisted(n)
+            assert s(Span(n, 1, 1)).values == [stern(n)]
+            assert t(Span(n, 1, 1)).values == [twisted(n)]
+    # strided, descending and constant spans across 0 and across the limit
+    for start, step in ((-7, 1), (-7, 3), (limit + 7, -1), (limit + 7, -3),
+                        (limit - 5, 2), (-2, -1)):
+        span = Span(start, step, 20)
+        for read, value in ((s, stern), (t, twisted)):
+            column = read(span)
+            inside = [k for k in range(20) if start + step * k >= 0]
+            assert list(range(column.lo, column.hi)) == inside
+            assert [column.values[k] for k in inside] == [
+                value(start + step * k) for k in inside
+            ]
+
+
+def test_span_and_column_arithmetic():
+    n = Span(3, 2, 4)  # 3, 5, 7, 9
+    assert n.column().values == [3, 5, 7, 9]
+    for got, want in (
+        (n + 1, [4, 6, 8, 10]), (1 + n, [4, 6, 8, 10]), (n - 4, [-1, 1, 3, 5]),
+        (10 - n, [7, 5, 3, 1]), (-n, [-3, -5, -7, -9]), (3 * n, [9, 15, 21, 27]),
+        (n * 3, [9, 15, 21, 27]), (n << 2, [12, 20, 28, 36]),
+    ):
+        assert got.column().values == want
+    assert (n * n).values == [9, 25, 49, 81] and (n * n % 4).values == [1] * 4
+    c = Column([1, 2, 3, 4], 1, 4)
+    d = Column([5, 6, 7, 8], 0, 3)
+    assert (c + d).values == [6, 8, 10, 12] and ((c + d).lo, (c + d).hi) == (1, 3)
+    assert (c - d).values == [-4] * 4 and (d - c).values == [4] * 4
+    assert (c * 2).values == (2 * c).values == [2, 4, 6, 8]
+    assert (1 - c).values == [0, -1, -2, -3] and (c - 1).values == [0, 1, 2, 3]
+    assert (-c).values == [-1, -2, -3, -4] and ((-c).lo, (-c).hi) == (1, 4)
+    assert (c % 2).values == [1, 0, 1, 0]
+    with pytest.raises(TypeError):
+        n + 0.5
+    with pytest.raises(TypeError):
+        c * "x"
 
 
 @pytest.mark.parametrize("policy", [verify.PRINTED_RANGE, SCAN])
