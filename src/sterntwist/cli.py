@@ -178,9 +178,9 @@ def _series_by_name(name: str, order: int, e: int | None):
     if name == "u":
         return verify.gen_quotient_series(order)
     if name == "A":
-        return verify.ab_quotient_series(order)[0]
+        return verify.a_quotient_series(order)
     if name == "B":
-        return verify.ab_quotient_series(order)[1]
+        return verify.b_quotient_series(order)
     if name == "binpart":
         return regularity.binary_partition_series(order)
     raise ValueError(f"unknown series {name!r}")

@@ -119,25 +119,35 @@ def _nonnegative(span: Span) -> tuple[int, int]:
     return 0, max(0, min(count, start // -step + 1))
 
 
+#: Most prefix entries a strided read may fill per value it reads before it
+#: looks its values up one by one instead.  A contiguous read always fills:
+#: the sweeps walk a range block by block, so the entries it skips are read
+#: next.  A strided read's neighbours share its stride, so most of what it
+#: fills is never read.  The DIV-S/DIV-T scans fill at most 16 entries per
+#: value at strides up to 128 and 70-800 at strides 256-2048, where filling
+#: took the tables to 9*2^e_max entries for a few hundred values.  A lookup
+#: costs about as much time as filling 90 entries.
+SPARSE_FILL = 32
+
+
 def column_reader(kind: Kind, point: Callable[[int], int], limit: int) -> Reader:
     """span -> Column of value(index) of one sequence.  Below `limit` the
     values are one slice (strided when step is not 1) of the kind's prefix,
     extended on demand by at least an eighth, so that it grows at most an
-    eighth past the furthest index read; from `limit` on, point(x) looks
-    each value up on its own.  Negative indices are out of the Column's
-    interval."""
+    eighth past the furthest index read; from `limit` on, or when a strided
+    read would fill more than SPARSE_FILL entries per value it reads,
+    point(x) looks each value up on its own.  Negative indices are out of the
+    Column's interval."""
     table = prefix(kind, 0)
-    end = min(len(table), limit)
 
     def ascending(a: int, d: int, b: int) -> list[int]:
         # [value(x) for x in range(a, b, d)], for 0 <= a < b and d > 0
-        nonlocal end
-        if a >= limit:
-            return [point(x) for x in range(a, b, d)]
         top = a + (min(b, limit) - 1 - a) // d * d
+        end = len(table)
+        if a >= limit or d > 1 and top + 1 - end > SPARSE_FILL * ((top - a) // d + 1):
+            return [point(x) for x in range(a, b, d)]
         if top >= end:
-            end = min(limit, max(end + (end >> 3), top + 1))
-            prefix(kind, end)
+            prefix(kind, min(limit, max(end + (end >> 3), top + 1)))
         values = table[a:top + 1:d]
         if b > limit:
             values += [point(x) for x in range(top + d, b, d)]

@@ -7,6 +7,7 @@ prefix, so a result can never silently claim more precision than it has.
 """
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -86,11 +87,19 @@ def _unit_div(ring: Ring, a, unit):
 # Coefficient kernel.
 #
 # Integer products go through Kronecker substitution: both operands are packed
-# into one big int each, CPython multiplies them (Karatsuba), and the product
-# is read back slot by slot.  Division by a dense unit-lead integer series
-# multiplies by its Newton inverse.  Both are O(M(n)).  When one operand (or
-# the denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
-# schoolbook loops are faster and run instead; the other rings always use them.
+# into one big number each, multiplied once, and the product is read back slot
+# by slot.  There are two exact routes for that one multiply.  Below
+# TRANSFORM_LENGTH the slots are bytes of a CPython int, which multiplies by
+# Karatsuba, O(n^1.58).  From TRANSFORM_LENGTH on they are digits of a
+# `decimal.Decimal`, which libmpdec multiplies by a number-theoretic transform,
+# O(n log n), in a context with prec = MAX_PREC, Emax = MAX_EMAX and Inexact
+# and Rounded trapped: the product is exact or an exception, never rounded.
+# Without libmpdec (a `decimal` that is not the C build) the int route runs at
+# every length.  `fractions` already imports `decimal`, so it costs no import
+# time.  Division by a dense unit-lead integer series multiplies by its Newton
+# inverse.  Both are O(M(n)).  When one operand (or the denominator's tail) has
+# at most SPARSE_TERMS nonzero coefficients, the schoolbook loops are faster
+# and run instead; the other rings always use them.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -99,6 +108,31 @@ def _unit_div(ring: Ring, a, unit):
 #: division stays ahead of Newton well past that, and the denominators in use
 #: have at most two tail terms or are dense.
 SPARSE_TERMS = 32
+
+#: Shortest length of the shorter dense operand that takes the libmpdec
+#: route.  On the Newton steps of h_series (coefficients of 8-58 bits; 2 vCPUs,
+#: CPython 3.11.7, libmpdec 2.5.1) the libmpdec route took 1.2-1.45x the int
+#: route's time at length 1024, was about even at 2048 (0.96-1.2x as fast),
+#: and was 1.8x as fast at 4096 and 3-3.7x at 8192-16384.  Packing and
+#: reading back cost about the same per coefficient on both routes, so with
+#: coefficients under ~12 bits the break-even moves up to about 4096.
+TRANSFORM_LENGTH = 2048
+
+#: Largest coefficient bound, in bits, that the libmpdec route takes.  Its
+#: slots go through str and int, which CPython refuses past 4300 digits by
+#: default (sys.get_int_max_str_digits); 13000 bits is at most 3914 digits.
+#: Wider products take the int route.
+SLOT_BITS = 13_000
+
+#: libmpdec is there only in the C build of `decimal`.
+_LIBMPDEC = hasattr(decimal, "__libmpdec_version__")
+
+#: The context of the libmpdec route, whatever the caller's context is: any
+#: result that would be rounded raises instead, and the exponent limit does
+#: not stop a product past the default 999,999 digits.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+)
 
 
 def _kron_mul(a, b, n: int) -> list[int]:
@@ -132,9 +166,42 @@ def _kron_mul(a, b, n: int) -> list[int]:
     ]
 
 
+def _decimal_mul(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of a*b for integer sequences, by Kronecker
+    substitution in base B = 10^width, multiplied by libmpdec.
+
+    The slots are those of `_kron_mul` written in decimal: each holds a
+    coefficient plus half = 5*10^(width-1).  The width keeps every
+    coefficient below 4*10^(width-1) in magnitude, so every biased slot has
+    exactly `width` digits.  The traps make the product exact or an
+    exception.  Adding B^top, with top at least both the product's slot
+    count and n+1, keeps the sum positive (|a*b| < B^top) and changes no
+    slot 0..n, so the last n+1 slots of its digit string are the biased
+    coefficients 0..n.
+    """
+    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
+    if bound.bit_length() > SLOT_BITS:
+        return _kron_mul(a, b, n)
+    width = len(str(bound // 4)) + 1
+    half = 5 * 10 ** (width - 1)
+    half_digits = str(half)
+
+    def pack(cs) -> decimal.Decimal:
+        biased = "".join([str(c + half) for c in reversed(cs)])
+        return decimal.Decimal(biased) - decimal.Decimal(half_digits * len(cs))
+
+    top = max(len(a) + len(b) - 1, n + 1)
+    offset = decimal.Decimal("1" + "0" * (width * (top - n - 1)) + half_digits * (n + 1))
+    with decimal.localcontext(_EXACT):
+        digits = str(pack(a) * pack(b) + offset)
+    end = len(digits)
+    return [int(digits[i - width : i]) - half for i in range(end, end - width * (n + 1), -width)]
+
+
 def _mul_coeffs(a, b, n: int, ring: Ring) -> list:
     """Coefficients 0..n of a*b in `ring`: Kronecker for dense integer
-    operands, the schoolbook loop otherwise."""
+    operands, through libmpdec once the shorter one reaches
+    TRANSFORM_LENGTH, the schoolbook loop otherwise."""
     a = a[: n + 1]
     b = b[: n + 1]
     na = sum(1 for c in a if c)
@@ -142,6 +209,8 @@ def _mul_coeffs(a, b, n: int, ring: Ring) -> list:
     if na > nb:
         a, b, na = b, a, nb
     if ring is Ring.INTEGER and na > SPARSE_TERMS:
+        if _LIBMPDEC and min(len(a), len(b)) >= TRANSFORM_LENGTH:
+            return _decimal_mul(a, b, n)
         return _kron_mul(a, b, n)
     return _schoolbook_mul(a, b, n, _zero(ring))
 

@@ -677,17 +677,23 @@ def gen_quotient_series(order: int) -> TruncatedSeries:
     return div_exact(num, stern_series(order + 2))
 
 
-def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The two integral quotients behind the doubling conjecture: the s-step
-    quotient A and the sign-flipped t-step quotient B."""
-    s = stern_series(order + 2)
-    num_a = TruncatedSeries.from_coeffs(
-        [stern(2 + n) - stern(1 + n) for n in range(order + 2)]
-    )
-    num_b = TruncatedSeries.from_coeffs(
+def a_quotient_series(order: int) -> TruncatedSeries:
+    """The s-step quotient A behind the doubling conjecture."""
+    num = TruncatedSeries.from_coeffs([stern(2 + n) - stern(1 + n) for n in range(order + 2)])
+    return div_exact(num, stern_series(order + 2))
+
+
+def b_quotient_series(order: int) -> TruncatedSeries:
+    """The sign-flipped t-step quotient B behind the doubling conjecture."""
+    num = TruncatedSeries.from_coeffs(
         [-(twisted(2 + n) + twisted(1 + n)) for n in range(order + 2)]
     )
-    return div_exact(num_a, s), div_exact(num_b, s)
+    return div_exact(num, stern_series(order + 2))
+
+
+def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Both doubling-conjecture quotients, (A, B)."""
+    return a_quotient_series(order), b_quotient_series(order)
 
 
 def _compare_prefix(report: VerificationReport, got: TruncatedSeries, want, tag: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sterntwist.series as series
 from sterntwist.cli import BFile, BFileFormatError, parse_bfile, run
 from sterntwist.config import ORDER_ENV_VAR
 from sterntwist.regularity import h_series
@@ -67,6 +68,21 @@ def test_series_output(capsys):
     assert json.loads(out)["coefficients"] == ["1", "-2", "2", "0", "-4", "4", "2"]
     code, out = invoke(capsys, ["series", "--name", "B", "--order", "7", "--format", "json"])
     assert json.loads(out)["coefficients"] == ["1", "-2", "-2", "4", "0", "0", "6", "-6"]
+
+
+@pytest.mark.parametrize("name", ["u", "A", "B"])
+def test_quotient_series_invert_the_stern_series_once(monkeypatch, capsys, name):
+    calls = []
+    inverse = series._inverse
+
+    def counted(d, n):
+        calls.append(n)
+        return inverse(d, n)
+
+    monkeypatch.setattr(series, "_inverse", counted)
+    code, out = invoke(capsys, ["series", "--name", name, "--order", "300"])
+    assert code == 0 and out
+    assert calls == [300]
 
 
 def test_series_psi_needs_e(capsys):

@@ -1,13 +1,16 @@
 """Differential tests of the integer coefficient kernel.
 
 The schoolbook product and the term-by-term division recurrence below are the
-reference: Kronecker products and Newton division must reproduce them exactly
-on every operand shape, including both sides of the sparse cutoff.
+reference: Kronecker products, through CPython ints or through libmpdec, and
+Newton division must reproduce them exactly on every operand shape, including
+both sides of the sparse and the transform cutoffs.
 """
+import decimal
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sterntwist.series as series
@@ -15,6 +18,7 @@ from sterntwist.regularity import AffineSystem, expand_rational, solve_affine_sy
 from sterntwist.sequences import stern
 from sterntwist.series import (
     SPARSE_TERMS,
+    TRANSFORM_LENGTH,
     DensePolynomial,
     DivisionError,
     Ring,
@@ -73,16 +77,25 @@ def with_terms(terms, length, bits, lead=1, start=0):
     return out
 
 
-def count_kron_calls(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    kron = series._kron_mul
+    route = getattr(series, name)
 
     def counted(a, b, n):
         calls.append(n)
-        return kron(a, b, n)
+        return route(a, b, n)
 
-    monkeypatch.setattr(series, "_kron_mul", counted)
+    monkeypatch.setattr(series, name, counted)
     return calls
+
+
+def count_kron_calls(monkeypatch):
+    return count_calls(monkeypatch, "_kron_mul")
+
+
+def spot_coeff(a, b, k):
+    """Coefficient k of a*b, summed directly."""
+    return sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,3 +218,110 @@ def test_h_series_newton_route_matches_fixed_point_at_order_2_pow_14():
     fixed = solve_affine_system(AffineSystem.of(2, [inhom], [[(0, 2)]], [1]), order)[0]
     assert direct.order == fixed.order == order
     assert direct == fixed
+
+
+needs_libmpdec = pytest.mark.skipif(
+    not series._LIBMPDEC, reason="decimal is not the C build with libmpdec"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_seqs(), coeff_seqs(), st.integers(0, 210))
+@example([0, 0, 0], [5, -7], 4)
+@example([-(1 << 70), 3], [1 << 65, -1, 2], 9)
+def test_decimal_mul_matches_kron_and_schoolbook(a, b, n):
+    # negative, zero and 130-bit coefficients, and n + 1 past the product's
+    # len(a) + len(b) - 1 slots, whose top slots must read 0
+    a, b = a[: n + 1], b[: n + 1]
+    want = schoolbook_mul(a, b, n)
+    assert series._kron_mul(a, b, n) == want
+    assert series._decimal_mul(a, b, n) == want
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top", [10**6 - 1, 10**6, 10**21 - 1, 10**21])
+def test_decimal_slots_hold_the_extreme_coefficients(sign, top):
+    # the extreme coefficient 4*top^2 sits just below the 4*10^(width-1) that
+    # makes the slot one digit wider (top = 10^j - 1), or exactly on it
+    a = [top] * 4
+    b = [sign * top] * 4
+    for n in (3, 6, 9):
+        got = series._decimal_mul(a, b, n)
+        assert got == schoolbook_mul(a, b, n)
+        assert got[3] == sign * 4 * top * top
+
+
+def test_decimal_mul_hands_slots_past_the_str_limit_to_ints(monkeypatch):
+    # a 4500-digit coefficient bound would need int/str conversions that
+    # CPython refuses by default
+    kron = count_kron_calls(monkeypatch)
+    a = [10**2250 + 1, -3, 7]
+    b = [-(10**2250) + 9, 5]
+    assert series._decimal_mul(a, b, 4) == schoolbook_mul(a, b, 4)
+    assert kron == [4]
+
+
+@needs_libmpdec
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(TRANSFORM_LENGTH - 2, TRANSFORM_LENGTH + 1),
+    st.integers(TRANSFORM_LENGTH - 2, TRANSFORM_LENGTH + 600),
+    st.sampled_from([3, 40, 70]),
+    st.integers(0, 2**32),
+)
+def test_transform_cutoff_routes_and_results(len_a, len_b, bits, seed):
+    rng = random.Random(seed)
+    a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(len_a)]
+    b = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(len_b)]
+    n = len(a) + len(b) - 2
+    with pytest.MonkeyPatch.context() as mp:
+        dec = count_calls(mp, "_decimal_mul")
+        kron = count_kron_calls(mp)
+        got = DensePolynomial(tuple(a)) * DensePolynomial(tuple(b))
+    transform = min(len(a), len(b)) >= TRANSFORM_LENGTH
+    assert (len(dec), len(kron)) == ((1, 0) if transform else (0, 1))
+    want = series._kron_mul(a, b, n) if transform else series._decimal_mul(a, b, n)
+    assert list(got.coeffs) == want[: len(got.coeffs)]
+    assert not any(want[len(got.coeffs):])
+    for k in (0, 1, len(a) - 1, rng.randrange(n + 1), n):
+        assert want[k] == spot_coeff(a, b, k)
+
+
+@needs_libmpdec
+def test_series_products_at_the_transform_cutoff_match_schoolbook(monkeypatch):
+    dec = count_calls(monkeypatch, "_decimal_mul")
+    rng = random.Random(7)
+    for length in (TRANSFORM_LENGTH - 1, TRANSFORM_LENGTH):
+        a = [rng.randrange(-(1 << 66), 1 << 66) for _ in range(length)]
+        b = [stern(i + 1) for i in range(length)]
+        got = TruncatedSeries.from_coeffs(a) * TruncatedSeries.from_coeffs(b)
+        assert list(got.coeffs) == schoolbook_mul(a, b, length - 1)
+    assert dec == [TRANSFORM_LENGTH - 1]
+
+
+@needs_libmpdec
+def test_decimal_mul_past_the_default_exponent_limit():
+    # 2 * 8000 slots of 77 digits: 1.2 million digits in the product, past
+    # the default context's Emax of 999,999; the caller's own context, here
+    # a rounding one, must not matter
+    rng = random.Random(11)
+    a = [rng.randrange(-(1 << 120), 1 << 120) for _ in range(8000)]
+    b = [rng.randrange(-(1 << 120), 1 << 120) for _ in range(8000)]
+    n = 15998
+    with decimal.localcontext(decimal.Context(prec=28, traps=[])):
+        got = series._decimal_mul(a, b, n)
+    assert got == series._kron_mul(a, b, n)
+    for k in (0, 7999, 8000, rng.randrange(n + 1), n):
+        assert got[k] == spot_coeff(a, b, k)
+
+
+def test_int_route_without_libmpdec(monkeypatch):
+    monkeypatch.setattr(series, "_LIBMPDEC", False)
+    dec = count_calls(monkeypatch, "_decimal_mul")
+    kron = count_kron_calls(monkeypatch)
+    length = 2 * TRANSFORM_LENGTH
+    num = TruncatedSeries.from_coeffs([stern(i + 2) for i in range(length)])
+    den = TruncatedSeries.from_coeffs([stern(i + 1) for i in range(length)])
+    got = div_exact(num, den) * den
+    assert got == num
+    assert kron and not dec

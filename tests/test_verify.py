@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sterntwist
 from sterntwist.columns import Column, Span
 from sterntwist.sequences import stern, twisted
 import sterntwist.verify as verify
@@ -125,6 +130,35 @@ def test_columns_match_point_oracle(identity):
         for policy in (verify.PRINTED_RANGE, SCAN):
             want = _oracle(record, e_max, policy).to_json()
             assert check_identity(identity, e_max, policy).to_json() == want
+
+
+#: Scans DIV-x at e = 14 in a fresh interpreter, then again with strided
+#: reads always filling the prefix tables; prints both reports and the table
+#: lengths after each.
+_FRESH_DIV_SCAN = """
+import json, sys
+from sterntwist import columns, verify
+from sterntwist.sequences import _PREFIXES
+got = verify.check_identity(sys.argv[1], 14, verify.SCAN).to_json()
+sizes = [len(t) for t in _PREFIXES.values()]
+columns.SPARSE_FILL = float("inf")
+want = verify.check_identity(sys.argv[1], 14, verify.SCAN).to_json()
+print(json.dumps([got, want, sizes, [len(t) for t in _PREFIXES.values()]]))
+"""
+
+
+@pytest.mark.parametrize("identity", ["DIV-S", "DIV-T"])
+def test_sparse_strided_scans_leave_the_tables_small(identity):
+    env = dict(os.environ, PYTHONPATH=str(Path(sterntwist.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_DIV_SCAN, identity],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    got, want, sizes, filled = json.loads(done.stdout)
+    assert got == want
+    assert max(sizes) < 1 << 15
+    assert max(filled) == (9 << 14) + 1
 
 
 def _block_at(record, e, points):
