@@ -21,7 +21,7 @@ from sterntwist.regularity import (
     h_series,
     kernel_rank,
 )
-from sterntwist.sequences import stern
+from sterntwist.series import stern_series
 
 
 def main() -> int:
@@ -42,7 +42,7 @@ def main() -> int:
     # keep the deepest prefix at least 16 long so the probe stays reliable
     depth = min(6, probe_order.bit_length() - 5)
     probes = [
-        kernel_rank("stern", [stern(n) for n in range(probe_order)], 2, depth, probe_order),
+        kernel_rank("stern", stern_series(probe_order - 1).coeffs, 2, depth, probe_order),
         kernel_rank("H", h_series(probe_order - 1).coeffs, 2, depth, probe_order),
         kernel_rank("C", c_series(probe_order - 1).coeffs, 2, depth, probe_order),
         kernel_rank(

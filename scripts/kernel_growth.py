@@ -21,7 +21,7 @@ from sterntwist.regularity import (
     h_series,
     kernel_rank,
 )
-from sterntwist.sequences import stern
+from sterntwist.series import stern_series
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
 
     orders = [512, 1024, 2048]
     targets = {
-        "stern": lambda order: [stern(n) for n in range(order)],
+        "stern": lambda order: stern_series(order - 1).coeffs,
         "H": lambda order: h_series(order - 1).coeffs,
         "C": lambda order: c_series(order - 1).coeffs,
         "binpart": lambda order: binary_partition_series(order - 1).coeffs,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULTS, ORDER_ENV_VAR
 from . import ratwords, regularity, verify
-from .sequences import stern, twisted, weighted_even, weighted_stern
+from .sequences import Kind, prefix, stern, twisted, weighted_even, weighted_stern
 from .series import (
     carlitz_series,
     psi,
@@ -240,7 +240,7 @@ def _cmd_kernel(args) -> int:
     try:
         order = args.order if args.order is not None else _default_order()
         if args.target == "stern":
-            values = [stern(n) for n in range(order)]
+            values = prefix(Kind.STERN, order)[: max(order, 0)]
         elif args.target == "H":
             values = regularity.h_series(order - 1).coeffs
         elif args.target == "C":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .sequences import stern
+from .sequences import Kind
 from .series import (
     DensePolynomial,
     InternalCheckError,
@@ -23,6 +23,7 @@ from .series import (
     infinite_product,
     log_derivative,
     substitute_power,
+    window_series,
     _coerce,
     _zero,
 )
@@ -212,7 +213,7 @@ def h_series(order: int) -> TruncatedSeries:
     """Logarithmic derivative of the shifted Stern series, computed two
     independent ways (direct exact division; affine fixed point) and
     cross-checked before being returned."""
-    shifted = TruncatedSeries.from_coeffs([stern(n + 1) for n in range(order + 2)])
+    shifted = window_series(Kind.STERN, 1, order + 3)
     direct = log_derivative(shifted)
     inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), order)
     system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])

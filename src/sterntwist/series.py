@@ -16,11 +16,11 @@ from .sequences import (
     ONE_W,
     ZERO_W,
     IntPolynomial,
+    Kind,
     WeightPolynomial,
     _schoolbook_mul,
+    prefix,
     render_coeffs,
-    stern,
-    twisted,
 )
 
 
@@ -96,10 +96,14 @@ def _unit_div(ring: Ring, a, unit):
 # and Rounded trapped: the product is exact or an exception, never rounded.
 # Without libmpdec (a `decimal` that is not the C build) the int route runs at
 # every length.  `fractions` already imports `decimal`, so it costs no import
-# time.  Division by a dense unit-lead integer series multiplies by its Newton
-# inverse.  Both are O(M(n)).  When one operand (or the denominator's tail) has
-# at most SPARSE_TERMS nonzero coefficients, the schoolbook loops are faster
-# and run instead; the other rings always use them.
+# time.  Division by a dense unit-lead integer series to n+1 coefficients
+# inverts the denominator by Newton only to h = ceil((n+1)/2) coefficients,
+# on the top-down precisions ceil((n+1)/2^i), and gets the upper half of the
+# quotient from the remainder the lower half leaves (Karp-Markstein): three
+# products with a half-length operand each instead of a full-length inverse
+# and product.  Both are O(M(n)).  When one operand (or the denominator's
+# tail) has at most SPARSE_TERMS nonzero coefficients, the schoolbook loops
+# are faster and run instead; the other rings always use them.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -204,8 +208,8 @@ def _mul_coeffs(a, b, n: int, ring: Ring) -> list:
     TRANSFORM_LENGTH, the schoolbook loop otherwise."""
     a = a[: n + 1]
     b = b[: n + 1]
-    na = sum(1 for c in a if c)
-    nb = sum(1 for c in b if c)
+    na = len(a) - a.count(0)
+    nb = len(b) - b.count(0)
     if na > nb:
         a, b, na = b, a, nb
     if ring is Ring.INTEGER and na > SPARSE_TERMS:
@@ -217,16 +221,46 @@ def _mul_coeffs(a, b, n: int, ring: Ring) -> list:
 
 def _inverse(d, n: int) -> list[int]:
     """Coefficients 0..n of 1/d for an integer sequence with d[0] = +-1, by
-    Newton iteration g <- g + g(1 - d*g) mod z^{2k}."""
+    Newton iteration g <- g + g(1 - d*g) mod z^{k2}.
+
+    The precisions run top down, k2 = ceil((n+1)/2^i), so each step at most
+    doubles k and the last lands on n+1 exactly: no step computes
+    coefficients that are then thrown away.
+    """
+    lengths = [n + 1]
+    while lengths[-1] > 1:
+        lengths.append((lengths[-1] + 1) // 2)
     g = [d[0]]
     k = 1
-    while k <= n:
-        k2 = min(2 * k, n + 1)
+    for k2 in reversed(lengths[:-1]):
         # d*g = 1 + z^k * e modulo z^{k2}; the correction is -g*e, placed at z^k
         e = [-c for c in _mul_coeffs(d[:k2], g, k2 - 1, Ring.INTEGER)[k:]]
         g += _mul_coeffs(g, e, k2 - k - 1, Ring.INTEGER)
         k = k2
     return g
+
+
+def _quotients(nums, d, n: int) -> list[list[int]]:
+    """Coefficients 0..n of m/d for each integer sequence m in `nums`, with
+    d[0] = +-1, by Karp-Markstein: d is inverted only to h = ceil((n+1)/2)
+    coefficients, g, and that one inverse serves every numerator.
+
+        q0 = m*g mod z^h,  r = (m - d*q0)[h..n],  q = q0 + z^h * (g*r mod z^(n+1-h))
+
+    d*q0 agrees with m below z^h, so r is the remainder the low half leaves,
+    and n+1-h <= h coefficients of g divide it.
+    """
+    h = (n + 2) // 2
+    g = _inverse(d, h - 1)
+    out = []
+    for m in nums:
+        q = _mul_coeffs(m, g, h - 1, Ring.INTEGER)
+        if n >= h:
+            dq = _mul_coeffs(d, q, n, Ring.INTEGER)
+            r = [m[i] - dq[i] for i in range(h, n + 1)]
+            q += _mul_coeffs(g, r, n - h, Ring.INTEGER)
+        out.append(q)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,39 +394,51 @@ def div_exact(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     The lowest nonzero denominator coefficient must be a unit of the ring;
     over the integers that means +-1, and a quotient needing non-integer
     coefficients is an error rather than a silent ring switch.  A dense
-    integer denominator is inverted by Newton iteration; otherwise the
-    quotient comes from the term-by-term recurrence.
+    integer denominator is divided into by Karp-Markstein (`_quotients`);
+    otherwise the quotient comes from the term-by-term recurrence.
     """
-    if num.ring is not den.ring:
-        raise TypeError(f"ring mismatch: {num.ring.value} vs {den.ring.value}")
-    ring = num.ring
+    return div_exact_many((num,), den)[0]
+
+
+def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
+    """The exact quotients num/den for each num in `nums`, as div_exact,
+    each known to the smallest order of all the operands; a dense integer
+    denominator is inverted once for all of them."""
+    for num in nums:
+        if num.ring is not den.ring:
+            raise TypeError(f"ring mismatch: {num.ring.value} vs {den.ring.value}")
+    ring = den.ring
     v = den.valuation()
     if v is None:
         raise DivisionError("division by the zero series")
-    if any(num.coeffs[i] for i in range(min(v, num.order + 1))):
-        raise DivisionError("numerator valuation is below denominator valuation")
+    for num in nums:
+        if any(num.coeffs[i] for i in range(min(v, num.order + 1))):
+            raise DivisionError("numerator valuation is below denominator valuation")
     lead = den.coeffs[v]
     if not _is_unit(ring, lead):
         raise DivisionError(
             f"denominator leading coefficient {lead!r} is not a unit of the {ring.value} ring"
         )
-    n_out = min(num.order, den.order) - v
+    n_out = min(min(num.order for num in nums), den.order) - v
     if n_out < 0:
         raise DivisionError("operand orders are too small for the quotient")
-    m = num.coeffs[v:]
+    ms = [num.coeffs[v:] for num in nums]
     d = den.coeffs[v:]
     den_terms = [(j, d[j]) for j in range(1, n_out + 1) if d[j]]
     if ring is Ring.INTEGER and len(den_terms) > SPARSE_TERMS:
-        return TruncatedSeries(tuple(_mul_coeffs(m, _inverse(d, n_out), n_out, ring)), ring)
-    q = []
-    for n in range(n_out + 1):
-        acc = m[n]
-        for j, dj in den_terms:
-            if j > n:
-                break
-            acc = acc - q[n - j] * dj
-        q.append(_unit_div(ring, acc, lead))
-    return TruncatedSeries(tuple(q), ring)
+        return tuple(TruncatedSeries(tuple(q), ring) for q in _quotients(ms, d, n_out))
+    out = []
+    for m in ms:
+        q = []
+        for n in range(n_out + 1):
+            acc = m[n]
+            for j, dj in den_terms:
+                if j > n:
+                    break
+                acc = acc - q[n - j] * dj
+            q.append(_unit_div(ring, acc, lead))
+        out.append(TruncatedSeries(tuple(q), ring))
+    return tuple(out)
 
 
 def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
@@ -526,12 +572,20 @@ def infinite_product(poly: DensePolynomial, k: int, order: int,
     return acc
 
 
+def window_series(kind: Kind, start: int, stop: int) -> TruncatedSeries:
+    """The series whose coefficients are value(start), ..., value(stop - 1)
+    of one recursion, read off its prefix table."""
+    if stop <= start:
+        raise ValueError("a series carries at least its constant coefficient")
+    return TruncatedSeries(tuple(prefix(kind, stop)[start:stop]))
+
+
 def stern_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs([stern(n) for n in range(order + 1)])
+    return window_series(Kind.STERN, 0, order + 1)
 
 
 def twisted_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs([twisted(n) for n in range(order + 1)])
+    return window_series(Kind.TWISTED, 0, order + 1)
 
 
 def carlitz_series(order: int) -> TruncatedSeries:
@@ -567,8 +621,8 @@ def psi_from_twisted(e: int) -> DensePolynomial:
     if e < 0:
         raise ValueError("e must be a natural number")
     m = 3 << e
-    sign = -1 if e % 2 else 1
-    return DensePolynomial(tuple(sign * twisted(m + i) for i in range(m + 1)))
+    window = window_series(Kind.TWISTED, m, 2 * m + 1)
+    return DensePolynomial((-window if e % 2 else window).coeffs)
 
 
 def psi_factored_plain(e: int) -> DensePolynomial:

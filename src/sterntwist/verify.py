@@ -26,8 +26,10 @@ from .series import (
     DivisionError,
     TruncatedSeries,
     div_exact,
+    div_exact_many,
     stern_series,
     substitute_power,
+    window_series,
 )
 
 
@@ -673,27 +675,31 @@ EXPECTED_AB_B = (1, -2, -2, 4, 0, 0, 6, -6)
 def gen_quotient_series(order: int) -> TruncatedSeries:
     """The integral quotient of the shifted twisted series (offset 3) by the
     Stern series."""
-    num = TruncatedSeries.from_coeffs([twisted(3 + n) for n in range(order + 2)])
-    return div_exact(num, stern_series(order + 2))
+    return div_exact(window_series(Kind.TWISTED, 3, order + 5), stern_series(order + 2))
+
+
+def _a_numerator(order: int) -> TruncatedSeries:
+    return window_series(Kind.STERN, 2, order + 4) - window_series(Kind.STERN, 1, order + 3)
+
+
+def _b_numerator(order: int) -> TruncatedSeries:
+    return -(window_series(Kind.TWISTED, 2, order + 4) + window_series(Kind.TWISTED, 1, order + 3))
 
 
 def a_quotient_series(order: int) -> TruncatedSeries:
     """The s-step quotient A behind the doubling conjecture."""
-    num = TruncatedSeries.from_coeffs([stern(2 + n) - stern(1 + n) for n in range(order + 2)])
-    return div_exact(num, stern_series(order + 2))
+    return div_exact(_a_numerator(order), stern_series(order + 2))
 
 
 def b_quotient_series(order: int) -> TruncatedSeries:
     """The sign-flipped t-step quotient B behind the doubling conjecture."""
-    num = TruncatedSeries.from_coeffs(
-        [-(twisted(2 + n) + twisted(1 + n)) for n in range(order + 2)]
-    )
-    return div_exact(num, stern_series(order + 2))
+    return div_exact(_b_numerator(order), stern_series(order + 2))
 
 
 def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both doubling-conjecture quotients, (A, B)."""
-    return a_quotient_series(order), b_quotient_series(order)
+    """Both doubling-conjecture quotients, (A, B), over one inverse of the
+    Stern series."""
+    return div_exact_many((_a_numerator(order), _b_numerator(order)), stern_series(order + 2))
 
 
 def _compare_prefix(report: VerificationReport, got: TruncatedSeries, want, tag: str) -> None:
@@ -702,6 +708,22 @@ def _compare_prefix(report: VerificationReport, got: TruncatedSeries, want, tag:
             report.passes += 1
         else:
             report.record_failure((tag, i, got.coeff(i), expected))
+
+
+def _compare_sides(report: VerificationReport, e: int, sides) -> None:
+    """Tally coefficients 0..order of each (lhs, rhs) pair of equal-order
+    series in `sides`.  Equal coefficient tuples pass all at once; otherwise
+    the walk goes n by n, pair by pair, recording (e, n, lhs, rhs) for each
+    disagreement in that order."""
+    if all(lhs.coeffs == rhs.coeffs for lhs, rhs in sides):
+        report.passes += sum(len(lhs.coeffs) for lhs, _ in sides)
+        return
+    for n in range(len(sides[0][0].coeffs)):
+        for lhs, rhs in sides:
+            if lhs.coeffs[n] == rhs.coeffs[n]:
+                report.passes += 1
+            else:
+                report.record_failure((e, n, lhs.coeffs[n], rhs.coeffs[n]))
 
 
 def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
@@ -725,16 +747,12 @@ def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
     for e in range(e_max + 1):
         m = 3 << e
         cutoff = order - m
-        lhs = TruncatedSeries.from_coeffs([twisted(m + n) for n in range(cutoff + 1)])
-        u_sub = u if e == 0 else substitute_power(u, 1 << e, cutoff)
+        lhs = window_series(Kind.TWISTED, m, order + 1)
+        u_sub = u.truncate(cutoff) if e == 0 else substitute_power(u, 1 << e, cutoff)
         rhs = u_sub * s
         if e % 2:
             rhs = -rhs
-        for n in range(cutoff + 1):
-            if lhs.coeff(n) == rhs.coeff(n):
-                report.passes += 1
-            else:
-                report.record_failure((e, n, lhs.coeff(n), rhs.coeff(n)))
+        _compare_sides(report, e, [(lhs, rhs)])
     return report
 
 
@@ -758,26 +776,17 @@ def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
     for e in range(e_max + 1):
         step = 1 << e
         cutoff = order - 2 * step
-        lhs_a = TruncatedSeries.from_coeffs(
-            [stern(2 * step + n) - stern(step + n) for n in range(cutoff + 1)]
+        lhs_a = window_series(Kind.STERN, 2 * step, order + 1) - window_series(
+            Kind.STERN, step, step + cutoff + 1
         )
-        sign = -1 if (e + 1) % 2 else 1
-        lhs_b = TruncatedSeries.from_coeffs(
-            [sign * (twisted(2 * step + n) + twisted(step + n)) for n in range(cutoff + 1)]
+        lhs_b = window_series(Kind.TWISTED, 2 * step, order + 1) + window_series(
+            Kind.TWISTED, step, step + cutoff + 1
         )
-        a_sub = a if e == 0 else substitute_power(a, step, cutoff)
-        b_sub = b if e == 0 else substitute_power(b, step, cutoff)
-        rhs_a = a_sub * s
-        rhs_b = b_sub * s
-        for n in range(cutoff + 1):
-            if lhs_a.coeff(n) == rhs_a.coeff(n):
-                report.passes += 1
-            else:
-                report.record_failure((e, n, lhs_a.coeff(n), rhs_a.coeff(n)))
-            if lhs_b.coeff(n) == rhs_b.coeff(n):
-                report.passes += 1
-            else:
-                report.record_failure((e, n, lhs_b.coeff(n), rhs_b.coeff(n)))
+        if (e + 1) % 2:
+            lhs_b = -lhs_b
+        a_sub = a.truncate(cutoff) if e == 0 else substitute_power(a, step, cutoff)
+        b_sub = b.truncate(cutoff) if e == 0 else substitute_power(b, step, cutoff)
+        _compare_sides(report, e, [(lhs_a, a_sub * s), (lhs_b, b_sub * s)])
     return report
 
 

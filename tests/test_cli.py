@@ -82,7 +82,22 @@ def test_quotient_series_invert_the_stern_series_once(monkeypatch, capsys, name)
     monkeypatch.setattr(series, "_inverse", counted)
     code, out = invoke(capsys, ["series", "--name", name, "--order", "300"])
     assert code == 0 and out
-    assert calls == [300]
+    # Karp-Markstein inverts only to half the 301 quotient coefficients
+    assert calls == [150]
+
+
+def test_conjecture_ab_inverts_the_stern_series_once(monkeypatch, capsys):
+    calls = []
+    inverse = series._inverse
+
+    def counted(d, n):
+        calls.append(n)
+        return inverse(d, n)
+
+    monkeypatch.setattr(series, "_inverse", counted)
+    code, out = invoke(capsys, ["conjecture", "--which", "ab", "--max-e", "3", "--order", "300"])
+    assert code == 0 and "CONJ-AB" in out
+    assert calls == [150]
 
 
 def test_series_psi_needs_e(capsys):

@@ -325,3 +325,145 @@ def test_int_route_without_libmpdec(monkeypatch):
     got = div_exact(num, den) * den
     assert got == num
     assert kron and not dec
+
+
+# ---------------------------------------------------------------------------
+# Newton schedule and Karp-Markstein division against the doubling route.
+# ---------------------------------------------------------------------------
+
+
+def _inverse_doubling(d, n):
+    """The former Newton inverse, on precisions 1, 2, 4, ... and then n+1;
+    kept here only as an oracle."""
+    g = [d[0]]
+    k = 1
+    while k <= n:
+        k2 = min(2 * k, n + 1)
+        e = [-c for c in series._mul_coeffs(d[:k2], g, k2 - 1, Ring.INTEGER)[k:]]
+        g += series._mul_coeffs(g, e, k2 - k - 1, Ring.INTEGER)
+        k = k2
+    return g
+
+
+def _divide_doubling(m, d, n):
+    """The former dense quotient: full-length inverse, then one full product."""
+    return series._mul_coeffs(m, _inverse_doubling(d, n), n, Ring.INTEGER)
+
+
+#: Factors 1 + a*x + b*x^2 with every root on the unit circle; a product of
+#: them in z^k has an inverse whose coefficients grow only polynomially.
+CYCLOTOMIC = ((1, 1, 1), (1, -1, 1), (1, 0, 1), (1, 0, -1), (1, 1, 0), (1, -1, 0))
+
+
+def dense_operands(length, seed, lead=1, bits=40):
+    """A random numerator, and a dense denominator with lead `lead`: a
+    product of CYCLOTOMIC factors in random powers of z."""
+    rng = random.Random(seed)
+    d = [0] * length
+    d[0] = lead
+    for _ in range(2 * length.bit_length()):
+        a, b = rng.choice(CYCLOTOMIC)[1:]
+        k = rng.randrange(1, 2 + length.bit_length() ** 2)
+        for i in range(length - 1, k - 1, -1):
+            d[i] += a * d[i - k] + (b * d[i - 2 * k] if i >= 2 * k else 0)
+    m = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(length)]
+    return m, d
+
+
+def assert_quotient(q, m, d, n):
+    """q against the doubling route, and q*d = m on a few coefficients summed
+    directly."""
+    assert len(q) == n + 1
+    assert q == _divide_doubling(m, d, n)
+    for k in {0, n // 2, (n + 1) // 2, n}:
+        assert spot_coeff(q, d[: n + 1], k) == m[k]
+
+
+@pytest.mark.parametrize(
+    "length",
+    sorted({(1 << k) + j for k in range(13) for j in (-1, 0, 1, 2)} - {0}),
+)
+def test_newton_and_karp_markstein_at_powers_of_two(length):
+    n = length - 1
+    m, d = dense_operands(length, length, lead=(-1) ** length)
+    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    q = series._quotients([m], d, n)[0]
+    assert_quotient(q, m, d, n)
+    if length <= 130:
+        assert q == schoolbook_div(m, d, n)
+
+
+@pytest.mark.parametrize(
+    "length",
+    [TRANSFORM_LENGTH - 1, TRANSFORM_LENGTH, TRANSFORM_LENGTH + 1, TRANSFORM_LENGTH + 2,
+     2 * TRANSFORM_LENGTH + 1],
+)
+@pytest.mark.parametrize("lead", [1, -1])
+def test_dense_division_on_both_sides_of_the_transform_cutoff(length, lead):
+    n = length - 1
+    m, d = dense_operands(length, 3 * length + lead, lead=lead, bits=20)
+    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
+    assert_quotient(list(got.coeffs), m, d, n)
+
+
+@pytest.mark.parametrize("lead", [1, -1])
+def test_dense_division_with_valuation_and_a_short_numerator(lead):
+    m, d = dense_operands(700, 5, lead=lead)
+    # the numerator's valuation 3 is above the denominator's 2; both drop by 2
+    num = [0, 0, 0] + m[:500]
+    den = [0, 0] + d
+    got = div_exact(TruncatedSeries.from_coeffs(num), TruncatedSeries.from_coeffs(den))
+    n = len(num) - 1 - 2
+    assert got.order == n
+    assert list(got.coeffs) == schoolbook_div(num[2:], d, n)
+    assert list(got.coeffs) == _divide_doubling(num[2:], d, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_seqs(), coeff_seqs(), st.sampled_from([1, -1]), st.integers(0, 150))
+def test_karp_markstein_matches_the_oracles(m_tail, d_tail, lead, n):
+    m = (m_tail * (n + 1))[: n + 1]
+    d = ([lead] + d_tail * (n + 1))[: n + 1]
+    want = schoolbook_div(m, d, n)
+    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    assert _divide_doubling(m, d, n) == want
+    assert series._quotients([m, d], d, n) == [want, [1] + [0] * n]
+
+
+def test_newton_steps_never_overshoot_the_target(monkeypatch):
+    # at n = 8192 the doubling route reached 8192 coefficients of g and then
+    # ran one more full-length step for the last one; the top-down schedule
+    # stops at ceil(8193/2) = 4097 before its last step
+    m, d = dense_operands(8193, 17, bits=12)
+    lengths = []
+    route = series._mul_coeffs
+
+    def spy(a, b, n, ring):
+        # every Newton product takes g and a slice of d, or g and a correction
+        lengths.extend(len(x) for x in (a, b) if list(x) != d[: len(x)])
+        return route(a, b, n, ring)
+
+    monkeypatch.setattr(series, "_mul_coeffs", spy)
+    g = series._inverse(d, 8192)
+    assert len(g) == 8193
+    assert lengths and max(lengths) <= 4097
+    monkeypatch.undo()
+    assert g == _inverse_doubling(d, 8192)
+
+
+def test_one_inverse_serves_every_numerator(monkeypatch):
+    calls = []
+    inverse = series._inverse
+
+    def counted(d, n):
+        calls.append(n)
+        return inverse(d, n)
+
+    monkeypatch.setattr(series, "_inverse", counted)
+    den = TruncatedSeries.from_coeffs([stern(n) for n in range(402)])
+    nums = [TruncatedSeries.from_coeffs([0] + [stern(n + k) for n in range(401)]) for k in (2, 3, 5)]
+    got = series.div_exact_many(nums, den)
+    assert calls == [200]
+    assert got == tuple(div_exact(num, den) for num in nums)
+    assert all(q.order == 400 for q in got)

@@ -8,6 +8,13 @@ import pytest
 
 import sterntwist
 from sterntwist.columns import Column, Span
+from sterntwist.series import (
+    DensePolynomial,
+    TruncatedSeries,
+    div_exact,
+    log_derivative,
+    substitute_power,
+)
 from sterntwist.sequences import stern, twisted
 import sterntwist.verify as verify
 from sterntwist.verify import (
@@ -453,6 +460,131 @@ def test_conjecture_ab():
     assert report.conjecture
     with pytest.raises(ValueError):
         check_conjecture_ab(8, 100)
+
+
+def _perturbed(series_, index):
+    return TruncatedSeries(
+        series_.coeffs[:index] + (series_.coeffs[index] + 1,) + series_.coeffs[index + 1:]
+    )
+
+
+def test_conjecture_gen_failures_walk_the_points(monkeypatch):
+    # a wrong u fails every window; the counterexamples are those of a
+    # point-by-point walk of twisted(3*2^e + n) against (-1)^e u(z^(2^e)) s
+    order, e_max = 200, 3
+    bad = _perturbed(verify.gen_quotient_series(order), 20)
+    monkeypatch.setattr(verify, "gen_quotient_series", lambda o: bad)
+    report = check_conjecture_gen(e_max, order)
+    s = TruncatedSeries.from_coeffs([stern(n) for n in range(order + 1)])
+    passes, want = len(verify.EXPECTED_GEN_QUOTIENT), []
+    for e in range(e_max + 1):
+        m = 3 << e
+        rhs = (substitute_power(bad, 1 << e, order - m) if e else bad) * s
+        for n in range(order - m + 1):
+            lhs, right = twisted(m + n), (-1) ** e * rhs.coeff(n)
+            if lhs == right:
+                passes += 1
+            else:
+                want.append((e, n, lhs, right))
+    assert want and (report.passes, report.failures) == (passes, len(want))
+    assert report.counterexamples == want[: len(report.counterexamples)]
+
+
+def test_conjecture_ab_failures_walk_the_points(monkeypatch):
+    order, e_max = 200, 3
+    a, b = verify.ab_quotient_series(order)
+    bad_a, bad_b = _perturbed(a, 30), _perturbed(b, 17)
+    monkeypatch.setattr(verify, "ab_quotient_series", lambda o: (bad_a, bad_b))
+    report = check_conjecture_ab(e_max, order)
+    s = TruncatedSeries.from_coeffs([stern(n) for n in range(order + 1)])
+    passes, want = len(verify.EXPECTED_AB_A) + len(verify.EXPECTED_AB_B), []
+    for e in range(e_max + 1):
+        step = 1 << e
+        rhs_a = (substitute_power(bad_a, step, order - 2 * step) if e else bad_a) * s
+        rhs_b = (substitute_power(bad_b, step, order - 2 * step) if e else bad_b) * s
+        for n in range(order - 2 * step + 1):
+            sides = (
+                (stern(2 * step + n) - stern(step + n), rhs_a.coeff(n)),
+                ((-1) ** (e + 1) * (twisted(2 * step + n) + twisted(step + n)), rhs_b.coeff(n)),
+            )
+            for lhs, right in sides:
+                if lhs == right:
+                    passes += 1
+                else:
+                    want.append((e, n, lhs, right))
+    assert want and (report.passes, report.failures) == (passes, len(want))
+    assert report.counterexamples == want[: len(report.counterexamples)]
+
+
+#: Runs every range builder over s and t in a fresh interpreter and prints
+#: the results with the sizes of the point-lookup memos afterwards.
+_FRESH_RANGE_BUILDERS = """
+import json
+from sterntwist import regularity, sequences, series, verify
+out = {
+    "stern": series.stern_series(700).coeffs,
+    "twisted": series.twisted_series(700).coeffs,
+    "psi": [series.psi_from_twisted(e).coeffs for e in range(11)],
+    "H": regularity.h_series(400).coeffs,
+    "u": verify.gen_quotient_series(400).coeffs,
+    "gen": verify.check_conjecture_gen(5, 400).to_json(),
+    "ab": verify.check_conjecture_ab(5, 400).to_json(),
+    "memo": [len(sequences._STERN.values), len(sequences._TWISTED.values)],
+}
+print(json.dumps(out))
+"""
+
+
+def test_range_builders_read_tables_and_match_point_lookups():
+    env = dict(os.environ, PYTHONPATH=str(Path(sterntwist.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_RANGE_BUILDERS],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["memo"] == [0, 0]
+
+    def series_of(values):
+        return TruncatedSeries.from_coeffs(list(values))
+
+    assert got["stern"] == [stern(n) for n in range(701)]
+    assert got["twisted"] == [twisted(n) for n in range(701)]
+    for e, coeffs in enumerate(got["psi"]):
+        m = 3 << e
+        want = DensePolynomial(tuple((-1) ** e * twisted(m + i) for i in range(m + 1)))
+        assert tuple(coeffs) == want.coeffs
+    h = log_derivative(series_of(stern(n + 1) for n in range(402)))
+    assert tuple(got["H"]) == h.coeffs
+    u = div_exact(series_of(twisted(3 + n) for n in range(402)),
+                  series_of(stern(n) for n in range(403)))
+    assert tuple(got["u"]) == u.coeffs
+    s = series_of(stern(n) for n in range(401))
+    points = len(verify.EXPECTED_GEN_QUOTIENT)
+    for e in range(6):
+        m = 3 << e
+        rhs = (substitute_power(u, 1 << e, 400 - m) if e else u) * s
+        assert [twisted(m + n) for n in range(401 - m)] == [
+            (-1) ** e * c for c in rhs.coeffs[: 401 - m]
+        ]
+        points += 401 - m
+    assert json.loads(got["gen"])["passes"] == points
+    a = div_exact(series_of(stern(2 + n) - stern(1 + n) for n in range(402)),
+                  series_of(stern(n) for n in range(403)))
+    b = div_exact(series_of(-(twisted(2 + n) + twisted(1 + n)) for n in range(402)),
+                  series_of(stern(n) for n in range(403)))
+    points = len(verify.EXPECTED_AB_A) + len(verify.EXPECTED_AB_B)
+    for e in range(6):
+        step = 1 << e
+        cutoff = 400 - 2 * step
+        rhs_a = (substitute_power(a, step, cutoff) if e else a) * s
+        rhs_b = (substitute_power(b, step, cutoff) if e else b) * s
+        for n in range(cutoff + 1):
+            assert stern(2 * step + n) - stern(step + n) == rhs_a.coeff(n)
+            sides = twisted(2 * step + n) + twisted(step + n)
+            assert (-1) ** (e + 1) * sides == rhs_b.coeff(n)
+        points += 2 * (cutoff + 1)
+    assert json.loads(got["ab"])["passes"] == points
 
 
 def test_quotient_prefixes():
