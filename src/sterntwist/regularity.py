@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .sequences import Kind
@@ -257,15 +258,16 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
 
 
 def binary_partition_series(order: int) -> TruncatedSeries:
-    """Partitions into powers of two, by exact division: the product of
-    1/(1 - z^{2^m}) over 2^m <= order."""
-    acc = TruncatedSeries.one(order)
+    """Partitions into powers of two: the product of 1/(1 - z^m) over m = 2^j
+    <= order.  Dividing by 1 - z^m is a running sum over each residue class
+    mod m that holds more than one coefficient."""
+    q = list(TruncatedSeries.one(order).coeffs)
     m = 1
     while m <= order:
-        den = DensePolynomial((1,) + (0,) * (m - 1) + (-1,)).to_series(order)
-        acc = div_exact(acc, den)
+        for r in range(min(m, order + 1 - m)):
+            q[r::m] = accumulate(q[r::m])
         m *= 2
-    return acc
+    return TruncatedSeries(tuple(q))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ most BLOCK consecutive n, with n a `columns.Span` and s, t column readers:
 each read of s or t is one (possibly strided) slice of a flat prefix of the
 sequence (`sequences.prefix`), which the recursion fills in O(length) and
 which grows only as far as a check reads.  Indices from 9*2^e_max + 1 on
-are looked up one by one.  The dedicated checkers index the same prefixes.
+are looked up one by one.  The dedicated checkers read the same prefixes
+BLOCK n at a time and walk n by n only a block that disagrees.
 Entries whose printed statement disagrees with exhaustive computation are
 kept verbatim and flagged ``suspected-typo``; their failures are
 documented, not hidden, and never fail the build.  Conjecture checkers
@@ -18,10 +19,12 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import add, and_, mul, sub
 from typing import Callable
 
 from .columns import Column, Reader, Span, column_reader
-from .sequences import Kind, mod2, prefix, stern, twisted, v2
+from .sequences import Kind, prefix, stern, twisted
 from .series import (
     DivisionError,
     TruncatedSeries,
@@ -277,6 +280,13 @@ class VerificationReport:
         if len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(tuple(example))
 
+    def record(self, good: bool, example) -> None:
+        """Count one point: a pass, or a failure shown by `example`."""
+        if good:
+            self.passes += 1
+        else:
+            self.record_failure(example)
+
     def to_json_dict(self) -> dict:
         out = {
             "id": self.identity,
@@ -334,6 +344,10 @@ SCAN = "scan"
 #: peaked at 21.0 MiB, and all three swept equally fast.
 BLOCK = 1 << 10
 
+#: Most entries a sweep, scan or suite may ask of either prefix table (e_max
+#: <= 17, n_limit < 2^21); `verify --suite all` at both caps peaks at 161 MiB.
+MAX_TABLE = 1 << 21
+
 #: What a counterexample shows for both sides of a point where some read
 #: left the natural numbers.
 OUT_OF_DOMAIN = "out-of-domain"
@@ -361,13 +375,27 @@ def _failures(record: IdentityRecord, s: Reader, t: Reader, e: int,
     return out
 
 
+def _blocks(lo: int, hi: int):
+    """(start, stop) of the blocks of at most BLOCK n that cover [lo, hi)."""
+    return ((start, min(start + BLOCK, hi)) for start in range(lo, hi, BLOCK))
+
+
+def _bound_tables(e_max: int, n_limit: int = 0) -> None:
+    """Refuse, before any table grows, an e_max or n_limit whose tables
+    (9*2^e_max + 1 or n_limit + 1 entries) would pass MAX_TABLE."""
+    cap = f"(tables are capped at {MAX_TABLE} entries)"
+    if e_max > MAX_TABLE.bit_length() or (9 << e_max) + 1 > MAX_TABLE:
+        raise ValueError(f"e_max must be at most {((MAX_TABLE - 1) // 9).bit_length() - 1} {cap}")
+    if n_limit >= MAX_TABLE:
+        raise ValueError(f"n_limit must be below {MAX_TABLE} {cap}")
+
+
 def _sweep_one_e(record: IdentityRecord, s: Reader, t: Reader, e: int,
                  report: VerificationReport) -> None:
     lo, hi = record.n_range(e)
-    for start in range(lo, hi + 1, BLOCK):
-        count = min(BLOCK, hi + 1 - start)
-        failures = _failures(record, s, t, e, start, count)
-        report.passes += count - len(failures)
+    for start, stop in _blocks(lo, hi + 1):
+        failures = _failures(record, s, t, e, start, stop - start)
+        report.passes += stop - start - len(failures)
         for n, left, right in failures:
             report.record_failure((e, n, left, right))
 
@@ -383,8 +411,8 @@ def _scan_one_e(record: IdentityRecord, s: Reader, t: Reader, e: int) -> dict:
     centre = (lo + hi) // 2
     cap = hi + (hi - lo + 1) + 64
     right, open_right = cap, True
-    for start in range(centre, cap + 1, BLOCK):
-        failures = _failures(record, s, t, e, start, min(BLOCK, cap + 1 - start))
+    for start, stop in _blocks(centre, cap + 1):
+        failures = _failures(record, s, t, e, start, stop - start)
         if failures:
             right, open_right = failures[0][0] - 1, False
             break
@@ -406,15 +434,14 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
 
     printed-range compares both sides on the stated n interval; scan finds
     the maximal contiguous valid interval instead and reports it per e.
-    Each side is called once per block of at most BLOCK = 2^10 consecutive
-    n, not once per point; larger blocks cost peak memory and save no time.  A
+    Each side is called once per block of at most BLOCK consecutive n.  A
     block whose sides agree everywhere passes whole; any other is walked in
     n order, so passes, failures and counterexamples are those of a
     point-by-point sweep, and a scan stops at the block holding its first
     failure.  Both sides read s and t from the prefixes below
-    9*2^e_max + 1 (the length the determinant families use, past every
-    printed range once e_max >= 11); an index beyond that (scans of REC-S,
-    REC-T and the DIV pair) is looked up on its own.
+    9*2^e_max + 1 <= MAX_TABLE (past every printed range once e_max >= 11);
+    an index beyond that (scans of REC-S, REC-T and the DIV pair) is looked
+    up on its own.
     """
     record = REGISTRY[identity]
     if n_policy not in (PRINTED_RANGE, SCAN):
@@ -423,6 +450,7 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
         raise ValueError("e_max must be a natural number")
     if e_max < record.e_min:
         raise ValueError(f"{identity} is stated for e >= {record.e_min}")
+    _bound_tables(e_max)
     report = VerificationReport(
         identity,
         params=f"e in [{record.e_min}, {e_max}], policy={n_policy}",
@@ -453,21 +481,26 @@ def check_all_identities(e_max: int, jobs: int = 1) -> list[VerificationReport]:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_identity_job, [(i, e_max) for i in ids]))
+                return list(pool.map(check_identity, ids, repeat(e_max)))
         except (ImportError, OSError) as exc:
             print(f"verify: process pool unavailable ({exc}); ran serially",
                   file=sys.stderr)
     return [check_identity(i, e_max) for i in ids]
 
 
-def _identity_job(args) -> VerificationReport:
-    identity, e_max = args
-    return check_identity(identity, e_max)
-
-
 # ---------------------------------------------------------------------------
 # Dedicated checkers.
 # ---------------------------------------------------------------------------
+
+
+def _tally(report: VerificationReport, size: int, ok: bool, points) -> None:
+    """Pass a block of `size` points whole when `ok`; otherwise walk
+    `points`, a lazy iterable of (good, counterexample) in n order."""
+    if ok:
+        report.passes += size
+    else:
+        for good, example in points:
+            report.record(good, example)
 
 
 def check_partial_sums(e_max: int) -> VerificationReport:
@@ -476,20 +509,16 @@ def check_partial_sums(e_max: int) -> VerificationReport:
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
     report = VerificationReport("PARTIAL-SUMS", params=f"e <= {e_max}")
-    s = prefix(Kind.STERN, (1 << e_max) + 1)
-    t = prefix(Kind.TWISTED, (1 << e_max) + 1)
+    s, t = prefix(Kind.STERN, (1 << e_max) + 1), prefix(Kind.TWISTED, (1 << e_max) + 1)
     sum_s = alt_s = sum_t = alt_t = 0
-    n = 0
     for e in range(e_max + 1):
-        target = 1 << e
-        while n < target:
-            n += 1
-            sv, tv = s[n], t[n]
-            sgn = -1 if n % 2 else 1
-            sum_s += sv
-            alt_s += sgn * sv
-            sum_t += tv
-            alt_t += sgn * tv
+        # the sums grow by the n in (2^(e-1), 2^e]: n = 1 at e = 0
+        for start, stop in _blocks((1 << e >> 1) + 1, (1 << e) + 1):
+            even, odd = start + start % 2, start + 1 - start % 2  # first even, odd n
+            sum_s += sum(s[start:stop])
+            alt_s += sum(s[even:stop:2]) - sum(s[odd:stop:2])
+            sum_t += sum(t[start:stop])
+            alt_t += sum(t[even:stop:2]) - sum(t[odd:stop:2])
         checks = [
             ("sum-s", sum_s, (3**e + 1) // 2),
             ("sum-t", sum_t, ((-1) ** e + 1) // 2),
@@ -498,10 +527,7 @@ def check_partial_sums(e_max: int) -> VerificationReport:
         if e >= 1:
             checks.append(("alt-s", alt_s, (1 - 3 ** (e - 1)) // 2))
         for tag, got, want in checks:
-            if got == want:
-                report.passes += 1
-            else:
-                report.record_failure((e, tag, got, want))
+            report.record(got == want, (e, tag, got, want))
     return report
 
 
@@ -512,65 +538,57 @@ def det_m(n: int) -> int:
     return stern(n) * twisted(n + 1) - stern(n + 1) * twisted(n)
 
 
+def _tally_dets(report: VerificationReport, top: list[int], bottom: list[int],
+                shift: int, lo: int, hi: int, want: int, e: int, *tag: str) -> None:
+    """Tally top[n]*bottom[shift+n+1] - top[n+1]*bottom[shift+n] == want over
+    lo <= n < hi; a failure records (e, n, det, want, *tag)."""
+    for start, stop in _blocks(lo, hi):
+        a, b = start + shift, stop + shift
+        dets = list(map(sub, map(mul, top[start:stop], bottom[a + 1:b + 1]),
+                        map(mul, top[start + 1:stop + 1], bottom[a:b])))
+        _tally(report, stop - start, dets.count(want) == stop - start,
+               ((det == want, (e, n, det, want, *tag)) for n, det in enumerate(dets, start)))
+
+
 def check_det_m(limit: int) -> VerificationReport:
     """det M(n) = -2*(-1)^k on 2^k <= n < 2^(k+1), and |det| = 2."""
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
     report = VerificationReport("DET-M", params=f"1 <= n < {limit}")
-    s = prefix(Kind.STERN, limit + 1)
-    t = prefix(Kind.TWISTED, limit + 1)
-    for n in range(1, limit):
-        d = s[n] * t[n + 1] - s[n + 1] * t[n]
-        k = n.bit_length() - 1
-        want = 2 if k % 2 else -2
-        if d == want and abs(d) == 2:
-            report.passes += 1
-        else:
-            report.record_failure((k, n, d, want))
+    s, t = prefix(Kind.STERN, limit + 1), prefix(Kind.TWISTED, limit + 1)
+    for k in range((limit - 1).bit_length()):
+        _tally_dets(report, s, t, 0, 1 << k, min(2 << k, limit), 2 if k % 2 else -2, k)
     return report
 
 
-_DET_FAMILIES = (
-    # (tag, sequence feeding the top row, sequence feeding the shifted row)
-    ("SS", Kind.STERN, Kind.STERN),
-    ("ST", Kind.STERN, Kind.TWISTED),
-    ("TS", Kind.TWISTED, Kind.STERN),
-    ("TT", Kind.TWISTED, Kind.TWISTED),
-)
-
-
-def _family_ranges(tag: str, e: int):
-    """(lo, hi_exclusive, expected determinant) pieces for one family."""
+def _det_families(e: int):
+    """(tag, sequence feeding the top row, sequence feeding the shifted row,
+    pieces) of the four families at e; a piece (lo, hi, det) states the
+    determinant on lo <= n < hi."""
     p = 1 << e
-    if tag == "SS":
-        return [(0, p, -1), (p, 2 * p, 1)]
-    if tag == "ST":
-        sign = -1 if (e + 1) % 2 else 1
-        return [(0, p, sign), (p, 4 * p, -sign)]
-    if tag == "TS":
-        sign = -1 if (e + 1) % 2 else 1
-        return [(2 * p + 1, 5 * p, sign)]
-    # TT: 1 on [2^(e-2), 2^e) and [7*2^e, 2^(e+3)); -1 on [2^e, 7*2^e)
-    lo = (p + 3) // 4  # ceil(2^(e-2)) stays 1 for e < 2
-    return [(lo, p, 1), (p, 7 * p, -1), (7 * p, 8 * p, 1)]
+    sign = 1 if e % 2 else -1  # (-1)^(e+1)
+    return (
+        ("SS", Kind.STERN, Kind.STERN, [(0, p, -1), (p, 2 * p, 1)]),
+        ("ST", Kind.STERN, Kind.TWISTED, [(0, p, sign), (p, 4 * p, -sign)]),
+        ("TS", Kind.TWISTED, Kind.STERN, [(2 * p + 1, 5 * p, sign)]),
+        # 1 on [ceil(2^(e-2)), 2^e) and [7*2^e, 2^(e+3)); -1 on [2^e, 7*2^e)
+        ("TT", Kind.TWISTED, Kind.TWISTED, [((p + 3) // 4, p, 1), (p, 7 * p, -1), (7 * p, 8 * p, 1)]),
+    )
 
 
 def check_det_families(e_max: int) -> VerificationReport:
-    """The four two-row determinant families over their stated ranges."""
+    """The four two-row determinant families over their stated ranges: the
+    top row reads n and n+1, the shifted row 2^e+n and 2^e+n+1."""
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
     report = VerificationReport("DET-FAMILIES", params=f"e <= {e_max}")
     # the TT family reads up to index 2^e + 8*2^e
     tables = {kind: prefix(kind, (9 << e_max) + 1) for kind in Kind}
-    for tag, top_kind, bottom_kind in _DET_FAMILIES:
-        top, bottom = tables[top_kind], tables[bottom_kind]
+    for family in range(4):
         for e in range(e_max + 1):
-            p = 1 << e
-            for lo, hi, want in _family_ranges(tag, e):
-                for n in range(lo, hi):
-                    det = top[n] * bottom[p + n + 1] - top[n + 1] * bottom[p + n]
-                    if det == want:
-                        report.passes += 1
-                    else:
-                        report.record_failure((e, n, det, want, tag))
+            tag, top, bottom, pieces = _det_families(e)[family]
+            for lo, hi, want in pieces:
+                _tally_dets(report, tables[top], tables[bottom], 1 << e, lo, hi, want, e, tag)
     return report
 
 
@@ -580,62 +598,62 @@ def check_divisibility(limit: int) -> VerificationReport:
     For s: s(n) divides s(n-1)+s(n+1) with quotient 1+2*v2(n).  For t the
     three-case law: both sides vanish exactly on n = 3*2^j; the quotient is
     -1 at n = 1, 1+2(e-2) at n = 2^e (e >= 1), and 1+2*v2(n) elsewhere.
+    A block's column of 1+2*v2(n) is built by strided slice assignment.
     """
     if limit < 4:
         raise ValueError("limit must be at least 4")
     report = VerificationReport("DIVISIBILITY", params=f"1 <= n < {limit}")
-    s = prefix(Kind.STERN, limit + 1)
-    t = prefix(Kind.TWISTED, limit + 1)
-    for n in range(1, limit):
-        v = v2(n)
-        odd_part = n >> v
-        sv = s[n]
-        s_sum = s[n - 1] + s[n + 1]
-        want = (1 + 2 * v) * sv
-        if sv > 0 and s_sum == want:
-            report.passes += 1
-        else:
-            report.record_failure((0, n, s_sum, want, "s"))
-        tv = t[n]
-        t_sum = t[n - 1] + t[n + 1]
-        if odd_part == 3:
-            good = tv == 0 and t_sum == 0
-            want = 0
-        elif n == 1:
-            good = t_sum == -1 * tv
-            want = -tv
-        elif odd_part == 1:
-            want = (1 + 2 * (v - 2)) * tv
-            good = tv != 0 and t_sum == want
-        else:
-            want = (1 + 2 * v) * tv
-            good = tv != 0 and t_sum == want
-        if good:
-            report.passes += 1
-        else:
-            report.record_failure((0, n, t_sum, want, "t"))
+    s, t = prefix(Kind.STERN, limit + 1), prefix(Kind.TWISTED, limit + 1)
+    # t's quotient where it is not 1+2*v2(n); 0 marks the both-zero points
+    exceptions = {1: -1, **{1 << e: 2 * e - 3 for e in range(1, limit.bit_length())},
+                  **{3 << j: 0 for j in range(limit.bit_length())}}
+    for start, stop in _blocks(1, limit):
+        size = stop - start
+        quotient = [1] * size
+        for v in range(1, stop.bit_length()):
+            first = -start % (1 << v)
+            quotient[first::1 << v] = [1 + 2 * v] * len(range(first, size, 1 << v))
+        s_n, t_n = s[start:stop], t[start:stop]
+        s_sum = list(map(add, s[start - 1:stop - 1], s[start + 1:stop + 1]))
+        s_want = list(map(mul, quotient, s_n))
+        for n, q in exceptions.items():
+            if start <= n < stop:
+                quotient[n - start] = q
+        t_sum = list(map(add, t[start - 1:stop - 1], t[start + 1:stop + 1]))
+        t_want = list(map(mul, quotient, t_n))
+        # t(n) = 0 exactly where the quotient is 0 (n = 1 is not asked)
+        ok = (s_sum == s_want and min(s_n) > 0 and t_sum == t_want
+              and list(map(bool, t_n)) == list(map(bool, quotient)))
+        _tally(report, 2 * size, ok, chain.from_iterable(
+            ((sv > 0 and ss == sw, (0, n, ss, sw, "s")),
+             ((n == 1 or (tv == 0) == (q == 0)) and ts == tw, (0, n, ts, tw, "t")))
+            for n, (sv, ss, sw, tv, ts, tw, q)
+            in enumerate(zip(s_n, s_sum, s_want, t_n, t_sum, t_want, quotient), start)
+        ))
     return report
 
 
 def check_mod2(limit: int) -> VerificationReport:
     """s(n) mod 2 = t(n) mod 2 = the 3-periodic indicator, for n < limit."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
     report = VerificationReport("MOD2", params=f"0 <= n < {limit}")
-    s = prefix(Kind.STERN, limit)
-    t = prefix(Kind.TWISTED, limit)
-    for n in range(limit):
-        expected = mod2(n)
-        sv = s[n] % 2
-        tv = t[n] % 2
-        if sv == tv == expected:
-            report.passes += 1
-        else:
-            report.record_failure((0, n, (sv, tv), expected))
+    s, t = prefix(Kind.STERN, limit), prefix(Kind.TWISTED, limit)
+    period = [0, 1, 1] * (BLOCK // 3 + 2)  # the indicator from n = 0 on
+    for start, stop in _blocks(0, limit):
+        want = period[start % 3:start % 3 + stop - start]
+        s_bit = list(map(and_, s[start:stop], repeat(1)))
+        t_bit = list(map(and_, t[start:stop], repeat(1)))
+        _tally(report, stop - start, s_bit == want == t_bit,
+               ((sv == tv == w, (0, n, (sv, tv), w))
+                for n, (sv, tv, w) in enumerate(zip(s_bit, t_bit, want), start)))
     return report
 
 
 def check_palindrome(e_max: int) -> VerificationReport:
     """The sign-corrected twisted window over [3*2^e, 6*2^e] is a palindrome
-    of non-negative values with zero ends, and its centre (e >= 1) is 2."""
+    of non-negative values with zero ends, and its centre (e >= 1) is 2.
+    Each block of the window is compared with its mirror block."""
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
     report = VerificationReport("PALINDROME", params=f"e <= {e_max}")
@@ -643,22 +661,16 @@ def check_palindrome(e_max: int) -> VerificationReport:
     for e in range(e_max + 1):
         m = 3 << e
         sign = -1 if e % 2 else 1
-        window = [sign * value for value in t[m:2 * m + 1]]
-        for n, value in enumerate(window):
-            if value == window[m - n] and value >= 0:
-                report.passes += 1
-            else:
-                report.record_failure((e, n, value, window[m - n]))
-        if window[0] == 0 and window[m] == 0:
-            report.passes += 1
-        else:
-            report.record_failure((e, 0, window[0], 0))
+        for start, stop in _blocks(0, m + 1):
+            got = list(map(mul, t[m + start:m + stop], repeat(sign)))
+            mirror = list(map(mul, reversed(t[2 * m + 1 - stop:2 * m + 1 - start]), repeat(sign)))
+            _tally(report, stop - start, got == mirror and min(got) >= 0,
+                   ((value == other and value >= 0, (e, n, value, other))
+                    for n, (value, other) in enumerate(zip(got, mirror), start)))
+        report.record(t[m] == 0 == t[2 * m], (e, 0, sign * t[m], 0))
         if e >= 1:
-            centre = window[3 << (e - 1)]
-            if centre == 2:
-                report.passes += 1
-            else:
-                report.record_failure((e, 3 << (e - 1), centre, 2))
+            centre = sign * t[m + (3 << (e - 1))]
+            report.record(centre == 2, (e, 3 << (e - 1), centre, 2))
     return report
 
 
@@ -704,10 +716,7 @@ def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
 def _compare_prefix(report: VerificationReport, got: TruncatedSeries, want, tag: str) -> None:
     for i, expected in enumerate(want):
-        if got.coeff(i) == expected:
-            report.passes += 1
-        else:
-            report.record_failure((tag, i, got.coeff(i), expected))
+        report.record(got.coeff(i) == expected, (tag, i, got.coeff(i), expected))
 
 
 def _compare_sides(report: VerificationReport, e: int, sides) -> None:
@@ -715,15 +724,10 @@ def _compare_sides(report: VerificationReport, e: int, sides) -> None:
     series in `sides`.  Equal coefficient tuples pass all at once; otherwise
     the walk goes n by n, pair by pair, recording (e, n, lhs, rhs) for each
     disagreement in that order."""
-    if all(lhs.coeffs == rhs.coeffs for lhs, rhs in sides):
-        report.passes += sum(len(lhs.coeffs) for lhs, _ in sides)
-        return
-    for n in range(len(sides[0][0].coeffs)):
-        for lhs, rhs in sides:
-            if lhs.coeffs[n] == rhs.coeffs[n]:
-                report.passes += 1
-            else:
-                report.record_failure((e, n, lhs.coeffs[n], rhs.coeffs[n]))
+    _tally(report, sum(len(lhs.coeffs) for lhs, _ in sides),
+           all(lhs.coeffs == rhs.coeffs for lhs, rhs in sides),
+           ((lhs.coeffs[n] == rhs.coeffs[n], (e, n, lhs.coeffs[n], rhs.coeffs[n]))
+            for n in range(len(sides[0][0].coeffs)) for lhs, rhs in sides))
 
 
 def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
@@ -800,13 +804,14 @@ SUITES = ("all", "identities", "matrices", "divisibility", "mod2", "palindrome")
 def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
               ) -> list[VerificationReport]:
     """Run one named verification suite; `all` also appends the partial-sum
-    checks."""
+    checks.  Tables past MAX_TABLE are refused before any table grows."""
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
     if n_limit < 2:
         raise ValueError("n_limit must be at least 2")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    _bound_tables(e_max, n_limit)
     if suite == "identities":
         return check_all_identities(e_max, jobs=jobs)
     if suite == "matrices":
@@ -818,16 +823,9 @@ def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
     if suite == "palindrome":
         return [check_palindrome(e_max)]
     if suite == "all":
-        out = check_all_identities(e_max, jobs=jobs)
-        out.extend(
-            [
-                check_det_m(n_limit),
-                check_det_families(e_max),
-                check_divisibility(max(n_limit, 4)),
-                check_mod2(n_limit),
-                check_palindrome(e_max),
-                check_partial_sums(e_max),
-            ]
-        )
-        return out
+        return check_all_identities(e_max, jobs=jobs) + [
+            check_det_m(n_limit), check_det_families(e_max),
+            check_divisibility(max(n_limit, 4)), check_mod2(n_limit),
+            check_palindrome(e_max), check_partial_sums(e_max),
+        ]
     raise ValueError(f"unknown suite {suite!r}")

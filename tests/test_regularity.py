@@ -23,6 +23,7 @@ from sterntwist.series import (
     DensePolynomial,
     Ring,
     TruncatedSeries,
+    div_exact,
     log_derivative,
     stern_series,
     substitute_power,
@@ -140,6 +141,28 @@ def test_binary_partitions():
             dp[n] += dp[n - power]
         power *= 2
     assert list(b.coeffs[:513]) == dp
+
+
+def _binary_partitions_by_division(order):
+    """The former route: one exact division by 1 - z^m per m = 2^j <= order."""
+    acc = TruncatedSeries.one(order)
+    m = 1
+    while m <= order:
+        acc = div_exact(acc, DensePolynomial((1,) + (0,) * (m - 1) + (-1,)).to_series(order))
+        m *= 2
+    return acc
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 14, 15, 16, 63, 64, 255, 256, 1024, 2048, 8192])
+def test_binary_partitions_match_the_division_route(order):
+    got = binary_partition_series(order)
+    assert got.ring is Ring.INTEGER
+    assert got.coeffs == _binary_partitions_by_division(order).coeffs
+
+
+def test_binary_partitions_reject_negative_orders():
+    with pytest.raises(ValueError, match="order must be a natural number"):
+        binary_partition_series(-1)
 
 
 def _fraction_rank(rows):

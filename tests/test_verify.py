@@ -15,7 +15,7 @@ from sterntwist.series import (
     log_derivative,
     substitute_power,
 )
-from sterntwist.sequences import stern, twisted
+from sterntwist.sequences import Kind, mod2, stern, twisted, v2
 import sterntwist.verify as verify
 from sterntwist.verify import (
     AS_PRINTED,
@@ -706,8 +706,8 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_jobs_are_capped_at_one_worker_per_identity(monkeypatch):
@@ -722,3 +722,332 @@ def test_jobs_are_capped_at_one_worker_per_identity(monkeypatch):
     assert pooled == serial
     verify.check_all_identities(1, jobs=100000)
     assert _FakePool.sizes == [len(REGISTRY), len(REGISTRY) - 1]
+
+
+# ---------------------------------------------------------------------------
+# The dedicated checkers against their former point-by-point bodies.
+# ---------------------------------------------------------------------------
+#
+# The oracles read the tables through `verify.prefix` at call time, so a
+# monkeypatched prefix feeds both routes the same (possibly corrupted) copy.
+
+
+def _oracle_partial_sums(e_max):
+    report = VerificationReport("PARTIAL-SUMS", params=f"e <= {e_max}")
+    s = verify.prefix(Kind.STERN, (1 << e_max) + 1)
+    t = verify.prefix(Kind.TWISTED, (1 << e_max) + 1)
+    sum_s = alt_s = sum_t = alt_t = 0
+    n = 0
+    for e in range(e_max + 1):
+        target = 1 << e
+        while n < target:
+            n += 1
+            sv, tv = s[n], t[n]
+            sgn = -1 if n % 2 else 1
+            sum_s += sv
+            alt_s += sgn * sv
+            sum_t += tv
+            alt_t += sgn * tv
+        checks = [
+            ("sum-s", sum_s, (3**e + 1) // 2),
+            ("sum-t", sum_t, ((-1) ** e + 1) // 2),
+            ("alt-t", alt_t, (-3 + (-1) ** e) // 2),
+        ]
+        if e >= 1:
+            checks.append(("alt-s", alt_s, (1 - 3 ** (e - 1)) // 2))
+        for tag, got, want in checks:
+            if got == want:
+                report.passes += 1
+            else:
+                report.record_failure((e, tag, got, want))
+    return report
+
+
+def _oracle_det_m(limit):
+    report = VerificationReport("DET-M", params=f"1 <= n < {limit}")
+    s = verify.prefix(Kind.STERN, limit + 1)
+    t = verify.prefix(Kind.TWISTED, limit + 1)
+    for n in range(1, limit):
+        d = s[n] * t[n + 1] - s[n + 1] * t[n]
+        k = n.bit_length() - 1
+        want = 2 if k % 2 else -2
+        if d == want and abs(d) == 2:
+            report.passes += 1
+        else:
+            report.record_failure((k, n, d, want))
+    return report
+
+
+def _oracle_family_ranges(tag, e):
+    p = 1 << e
+    if tag == "SS":
+        return [(0, p, -1), (p, 2 * p, 1)]
+    if tag == "ST":
+        sign = -1 if (e + 1) % 2 else 1
+        return [(0, p, sign), (p, 4 * p, -sign)]
+    if tag == "TS":
+        sign = -1 if (e + 1) % 2 else 1
+        return [(2 * p + 1, 5 * p, sign)]
+    lo = (p + 3) // 4
+    return [(lo, p, 1), (p, 7 * p, -1), (7 * p, 8 * p, 1)]
+
+
+def _oracle_det_families(e_max):
+    report = VerificationReport("DET-FAMILIES", params=f"e <= {e_max}")
+    tables = {kind: verify.prefix(kind, (9 << e_max) + 1) for kind in Kind}
+    families = (("SS", Kind.STERN, Kind.STERN), ("ST", Kind.STERN, Kind.TWISTED),
+                ("TS", Kind.TWISTED, Kind.STERN), ("TT", Kind.TWISTED, Kind.TWISTED))
+    for tag, top_kind, bottom_kind in families:
+        top, bottom = tables[top_kind], tables[bottom_kind]
+        for e in range(e_max + 1):
+            p = 1 << e
+            for lo, hi, want in _oracle_family_ranges(tag, e):
+                for n in range(lo, hi):
+                    det = top[n] * bottom[p + n + 1] - top[n + 1] * bottom[p + n]
+                    if det == want:
+                        report.passes += 1
+                    else:
+                        report.record_failure((e, n, det, want, tag))
+    return report
+
+
+def _oracle_divisibility(limit):
+    report = VerificationReport("DIVISIBILITY", params=f"1 <= n < {limit}")
+    s = verify.prefix(Kind.STERN, limit + 1)
+    t = verify.prefix(Kind.TWISTED, limit + 1)
+    for n in range(1, limit):
+        v = v2(n)
+        odd_part = n >> v
+        sv = s[n]
+        s_sum = s[n - 1] + s[n + 1]
+        want = (1 + 2 * v) * sv
+        if sv > 0 and s_sum == want:
+            report.passes += 1
+        else:
+            report.record_failure((0, n, s_sum, want, "s"))
+        tv = t[n]
+        t_sum = t[n - 1] + t[n + 1]
+        if odd_part == 3:
+            good = tv == 0 and t_sum == 0
+            want = 0
+        elif n == 1:
+            good = t_sum == -1 * tv
+            want = -tv
+        elif odd_part == 1:
+            want = (1 + 2 * (v - 2)) * tv
+            good = tv != 0 and t_sum == want
+        else:
+            want = (1 + 2 * v) * tv
+            good = tv != 0 and t_sum == want
+        if good:
+            report.passes += 1
+        else:
+            report.record_failure((0, n, t_sum, want, "t"))
+    return report
+
+
+def _oracle_mod2(limit):
+    report = VerificationReport("MOD2", params=f"0 <= n < {limit}")
+    s = verify.prefix(Kind.STERN, limit)
+    t = verify.prefix(Kind.TWISTED, limit)
+    for n in range(limit):
+        expected = mod2(n)
+        sv = s[n] % 2
+        tv = t[n] % 2
+        if sv == tv == expected:
+            report.passes += 1
+        else:
+            report.record_failure((0, n, (sv, tv), expected))
+    return report
+
+
+def _oracle_palindrome(e_max):
+    report = VerificationReport("PALINDROME", params=f"e <= {e_max}")
+    t = verify.prefix(Kind.TWISTED, (6 << e_max) + 1)
+    for e in range(e_max + 1):
+        m = 3 << e
+        sign = -1 if e % 2 else 1
+        window = [sign * value for value in t[m:2 * m + 1]]
+        for n, value in enumerate(window):
+            if value == window[m - n] and value >= 0:
+                report.passes += 1
+            else:
+                report.record_failure((e, n, value, window[m - n]))
+        if window[0] == 0 and window[m] == 0:
+            report.passes += 1
+        else:
+            report.record_failure((e, 0, window[0], 0))
+        if e >= 1:
+            centre = window[3 << (e - 1)]
+            if centre == 2:
+                report.passes += 1
+            else:
+                report.record_failure((e, 3 << (e - 1), centre, 2))
+    return report
+
+
+#: (block route, point-by-point oracle), by what the checker takes
+CHECKERS_BY_LIMIT = [
+    (check_det_m, _oracle_det_m),
+    (check_divisibility, _oracle_divisibility),
+    (check_mod2, _oracle_mod2),
+]
+CHECKERS_BY_E = [
+    (check_det_families, _oracle_det_families),
+    (check_palindrome, _oracle_palindrome),
+    (check_partial_sums, _oracle_partial_sums),
+]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 1023, 1024, 1025, 3 << 10, 1 << 16])
+@pytest.mark.parametrize("checker, oracle", CHECKERS_BY_LIMIT)
+def test_limit_checkers_match_their_oracles(checker, oracle, limit):
+    if checker is check_divisibility:
+        limit = max(limit, 4)  # as run_suite calls it
+    report = checker(limit)
+    assert report.ok and report.passes > 0
+    assert report.to_json() == oracle(limit).to_json()
+
+
+@pytest.mark.parametrize("e_max", range(14))
+@pytest.mark.parametrize("checker, oracle", CHECKERS_BY_E)
+def test_e_max_checkers_match_their_oracles(checker, oracle, e_max):
+    report = checker(e_max)
+    assert report.ok and report.passes > 0
+    assert report.to_json() == oracle(e_max).to_json()
+
+
+def _corrupt(monkeypatch, edits):
+    """Make `verify.prefix` hand out copies of the true tables with
+    table[i] = edit(table[i]) for each (kind, i): edit in `edits`."""
+    real = verify.prefix
+
+    def corrupted(kind, length):
+        table = list(real(kind, length))
+        for (edited, i), edit in edits.items():
+            if edited is kind and i < len(table):
+                table[i] = edit(table[i])
+        return table
+
+    monkeypatch.setattr(verify, "prefix", corrupted)
+
+
+def _bump(x):
+    return x + 1
+
+
+def _zero(x):
+    return 0
+
+
+LIMIT, E_MAX = 3 << 10, 9  # blocks end at n = 1025, 2049; tables reach 9*2^9 + 1
+
+
+def _lawful_restart(kind, lo, hi, first):
+    """Edits that set value(lo) = first(value(lo)) and continue the sequence
+    by the divisibility law's own recurrence value(n+1) = q(n) value(n) -
+    value(n-1) up to index hi.  Every sum the divisibility check compares on
+    lo <= n < hi still agrees; only a sign or a zero it also asks about is
+    wrong."""
+    table = list(verify.prefix(kind, hi + 1))
+    table[lo] = first(table[lo])
+    for n in range(lo, hi):
+        q = 1 + 2 * v2(n)
+        if kind is Kind.TWISTED and n >> v2(n) in (1, 3):
+            q = 2 * v2(n) - 3 if n >> v2(n) == 1 else 0
+        table[n + 1] = q * table[n] - table[n - 1]
+    return {(kind, i): (lambda x, v=table[i]: v) for i in range(lo, hi + 1)}
+
+
+CORRUPTIONS = {
+    "one-entry": {(Kind.STERN, 700): _bump},
+    "several-blocks": {(Kind.STERN, 5): _bump, (Kind.TWISTED, 1500): _bump,
+                       (Kind.STERN, 2900): _bump, (Kind.TWISTED, 4000): _bump},
+    "past-the-cap-in-one-block": {
+        **{(Kind.STERN, i): _bump for i in range(1100, 1120)},
+        **{(Kind.TWISTED, i): _bump for i in range(1101, 1121, 3)},
+    },
+    "first-and-last-n": {
+        **{(kind, i): _bump for kind in Kind for i in (0, 1, LIMIT - 1, LIMIT)},
+        (Kind.TWISTED, 6 << E_MAX): _bump, (Kind.TWISTED, 3 << E_MAX): _bump,
+        (Kind.STERN, 9 << E_MAX): _bump, (Kind.TWISTED, 9 << E_MAX): _bump,
+    },
+    "zero-away-from-3-2^j": {(Kind.TWISTED, 1000): _zero, (Kind.TWISTED, 1024): _zero,
+                             (Kind.TWISTED, 5): _zero},
+    "zero-at-n-1": {(Kind.TWISTED, 1): _zero},
+    # t(1) = 0 breaks no law at n = 1 itself, only at the n after it
+    "lawful-zeros-from-n-1": _lawful_restart(Kind.TWISTED, 1, 8, _zero),
+    "nonzero-at-3-2^j": {(Kind.TWISTED, 768): _bump, (Kind.TWISTED, 1536): _bump},
+    # the second block [1025, 2049) agrees on every sum and quotient
+    "lawful-zero-in-t": _lawful_restart(Kind.TWISTED, 1025, 2049, _zero),
+    "lawful-negative-s": _lawful_restart(Kind.STERN, 1025, 2049, lambda x: -x),
+    "negated-mirror-pair": {(Kind.TWISTED, (3 << 8) + 5): lambda x: -x,
+                            (Kind.TWISTED, (6 << 8) - 5): lambda x: -x,
+                            (Kind.STERN, 333): lambda x: -x},
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_checkers_match_their_oracles_on_corrupted_tables(monkeypatch, case):
+    _corrupt(monkeypatch, CORRUPTIONS[case])
+    failing = 0
+    for checker, oracle, arg in (
+        [(c, o, LIMIT) for c, o in CHECKERS_BY_LIMIT] + [(c, o, E_MAX) for c, o in CHECKERS_BY_E]
+    ):
+        report = checker(arg)
+        assert report.to_json() == oracle(arg).to_json(), checker.__name__
+        failing += not report.ok
+    assert failing
+
+
+def test_counterexamples_stop_at_the_cap_within_one_block(monkeypatch):
+    _corrupt(monkeypatch, CORRUPTIONS["past-the-cap-in-one-block"])
+    report = check_divisibility(LIMIT)
+    assert report.failures > verify.MAX_COUNTEREXAMPLES
+    assert len(report.counterexamples) == verify.MAX_COUNTEREXAMPLES
+    # each n shows its s-failure before its t-failure
+    assert [c[4] for c in report.counterexamples[:2]] == ["s", "s"]
+    assert report.counterexamples[0][1] == 1099
+    assert report.to_json() == _oracle_divisibility(LIMIT).to_json()
+
+
+def test_empty_checker_ranges_are_rejected():
+    for limit in (1, 0, -3):
+        with pytest.raises(ValueError, match="limit must be at least 2"):
+            check_det_m(limit)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            check_mod2(limit)
+    assert check_det_m(2).passes == 1
+    assert check_mod2(1).passes == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-e", "18"],
+    ["verify", "--suite", "divisibility", "--max-n", str(verify.MAX_TABLE)],
+    ["verify", "--suite", "mod2", "--max-e", "60", "--max-n", str(10**30)],
+    ["verify", "--suite", "identities", "--max-e", str(10**30)],
+    ["scan", "--identity", "ID3", "--e", "18"],
+    ["scan", "--identity", "REC-S", "--e", str(10**30)],
+])
+def test_oversized_tables_are_refused_before_any_fill(capsys, argv):
+    from sterntwist.cli import run
+    from sterntwist.sequences import _PREFIXES
+
+    before = {kind: len(table) for kind, table in _PREFIXES.items()}
+    assert run(argv) == 2
+    assert "capped at" in capsys.readouterr().err
+    assert {kind: len(table) for kind, table in _PREFIXES.items()} == before
+
+
+def test_table_cap_bounds():
+    verify._bound_tables(17, verify.MAX_TABLE - 1)
+    assert (9 << 17) + 1 <= verify.MAX_TABLE < (9 << 18) + 1
+    with pytest.raises(ValueError, match="capped at"):
+        verify._bound_tables(18)
+    with pytest.raises(ValueError, match="capped at"):
+        verify._bound_tables(0, verify.MAX_TABLE)
+    with pytest.raises(ValueError, match="capped at"):
+        run_suite("all", 18, 64)
+    with pytest.raises(ValueError, match="capped at"):
+        check_identity("ID3", 18, SCAN)
