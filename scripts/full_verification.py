@@ -31,9 +31,13 @@ def main() -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    reports = verify.run_suite("all", args.max_e, args.order)
-    reports.append(verify.check_conjecture_gen(6, max(args.order, 3 << 6)))
-    reports.append(verify.check_conjecture_ab(6, max(args.order, 2 << 6)))
+    try:
+        reports = verify.run_suite("all", args.max_e, args.order)
+        reports.append(verify.check_conjecture_gen(6, max(args.order, 3 << 6)))
+        reports.append(verify.check_conjecture_ab(6, max(args.order, 2 << 6)))
+    except ValueError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
 
     for report in reports:
         print(report.to_json() if args.json else report.summary_line())

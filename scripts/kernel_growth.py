@@ -36,15 +36,20 @@ def main() -> int:
         "C": lambda order: c_series(order - 1).coeffs,
         "binpart": lambda order: binary_partition_series(order - 1).coeffs,
     }
-    for name, values_of in targets.items():
-        print(name)
-        for order in orders:
-            depth = args.depth
-            while 2**depth * 16 > order:
-                depth -= 1
-            probe = kernel_rank(name, values_of(order), 2, depth, order)
-            stability = "stable" if probe.stable else "UNSTABLE"
-            print(f"  order {order:>5}: ranks {list(probe.ranks)} ({stability})")
+    try:
+        for name, values_of in targets.items():
+            lines = [name]
+            for order in orders:
+                depth = args.depth
+                while 2**depth * 16 > order:
+                    depth -= 1
+                probe = kernel_rank(name, values_of(order), 2, depth, order)
+                stability = "stable" if probe.stable else "UNSTABLE"
+                lines.append(f"  order {order:>5}: ranks {list(probe.ranks)} ({stability})")
+            print("\n".join(lines))
+    except ValueError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

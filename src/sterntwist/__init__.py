@@ -19,7 +19,6 @@ from .sequences import (
 )
 from .series import (
     DensePolynomial,
-    Ring,
     TruncatedSeries,
     carlitz_series,
     div_exact,

@@ -201,7 +201,7 @@ def _cmd_series(args) -> int:
                 {
                     "name": args.name,
                     "order": result.order,
-                    "ring": result.ring.value,
+                    "ring": "integer",
                     "coefficients": result.to_json_coeffs(),
                 },
                 sort_keys=True,

@@ -3,15 +3,15 @@ two counting transforms: one turns a recogniser into a subsequence counter,
 the other into a contiguous-factor counter.
 
 A representation is (row vector, one matrix per letter, column vector); the
-value of a word is the row-matrix-...-column product.  Entries live in an
-exact ring (integers, or integer polynomials in the weight variable w).
+value of a word is the row-matrix-...-column product.  Its entries are
+either all integers or all integer polynomials in the weight variable w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
-from .sequences import W, WeightPolynomial
-from .series import Ring, _coerce, _zero
+from .sequences import W, ZERO_W, WeightPolynomial
 
 
 def _row_times_matrix(row, matrix, zero):
@@ -36,6 +36,13 @@ def _dot(row, col, zero):
     return acc
 
 
+def _weight(x) -> WeightPolynomial:
+    p = WeightPolynomial._lift(x)
+    if p is None:
+        raise TypeError(f"{x!r} is neither an integer nor a w-polynomial")
+    return p
+
+
 def _entry_json(x):
     if isinstance(x, WeightPolynomial):
         return [str(c) for c in x.coeffs]
@@ -44,27 +51,29 @@ def _entry_json(x):
 
 @dataclass(frozen=True)
 class LinearRepresentation:
-    """(init, trans, final) over an exact ring; trans[letter] is a square
-    matrix and the value of a word is init . trans(d_1) ... trans(d_m) . final."""
+    """(init, trans, final) with integer or w-polynomial entries; trans[letter]
+    is a square matrix and the value of a word is
+    init . trans(d_1) ... trans(d_m) . final."""
 
     init: tuple
     trans: tuple
     final: tuple
-    ring: Ring = Ring.INTEGER
 
     @classmethod
-    def of(cls, init, trans, final, ring: Ring = Ring.INTEGER) -> "LinearRepresentation":
-        init = tuple(_coerce(ring, x) for x in init)
-        trans = tuple(
-            tuple(tuple(_coerce(ring, x) for x in row) for row in matrix)
-            for matrix in trans
+    def of(cls, init, trans, final) -> "LinearRepresentation":
+        """The representation of integer or w-polynomial entries; when any
+        entry is a w-polynomial, every entry is lifted to one."""
+        init, final = tuple(init), tuple(final)
+        trans = tuple(tuple(tuple(row) for row in matrix) for matrix in trans)
+        entries = (*init, *final, *(x for matrix in trans for row in matrix for x in row))
+        lift = _weight if any(isinstance(x, WeightPolynomial) for x in entries) else index
+        return cls(
+            tuple(map(lift, init)),
+            tuple(tuple(tuple(map(lift, row)) for row in matrix) for matrix in trans),
+            tuple(map(lift, final)),
         )
-        final = tuple(_coerce(ring, x) for x in final)
-        return cls(init, trans, final, ring)
 
     def __post_init__(self):
-        if self.ring is Ring.RATIONAL:
-            raise TypeError("representations live over the integer or w-polynomial ring")
         m = len(self.init)
         if len(self.final) != m:
             raise ValueError("init and final vectors must have equal length")
@@ -82,9 +91,14 @@ class LinearRepresentation:
     def alphabet_size(self) -> int:
         return len(self.trans)
 
+    @property
+    def weighted(self) -> bool:
+        """Whether the entries are w-polynomials rather than integers."""
+        return any(isinstance(x, WeightPolynomial) for x in self.init)
+
     def evaluate(self, word) -> object:
         """Value on an explicit digit word (most significant first)."""
-        zero = _zero(self.ring)
+        zero = ZERO_W if self.weighted else 0
         row = self.init
         for digit in word:
             if not 0 <= digit < self.alphabet_size:
@@ -98,7 +112,7 @@ class LinearRepresentation:
         return {
             "states": self.states,
             "alphabet": self.alphabet_size,
-            "ring": self.ring.value,
+            "ring": "integer-polynomial-in-w" if self.weighted else "integer",
             "init": [_entry_json(x) for x in self.init],
             "trans": [
                 [[_entry_json(x) for x in row] for row in matrix] for matrix in self.trans
@@ -112,19 +126,18 @@ def subsequence_transform(rep: LinearRepresentation) -> LinearRepresentation:
     a path either feeds the letter through the original matrices or skips
     it, and the value of a word becomes the sum of rep's values over all of
     the word's subsequences."""
-    one = _coerce(rep.ring, 1)
     m = rep.states
     new_trans = []
     for matrix in rep.trans:
         new_trans.append(
             tuple(
                 tuple(
-                    matrix[i][j] + one if i == j else matrix[i][j] for j in range(m)
+                    matrix[i][j] + 1 if i == j else matrix[i][j] for j in range(m)
                 )
                 for i in range(m)
             )
         )
-    return LinearRepresentation(rep.init, tuple(new_trans), rep.final, rep.ring)
+    return LinearRepresentation(rep.init, tuple(new_trans), rep.final)
 
 
 def representation_product(left: LinearRepresentation,
@@ -134,44 +147,40 @@ def representation_product(left: LinearRepresentation,
 
     Block structure: a path spends a prefix in `left`'s states, then jumps
     (paying left's final weight and right's entry weight) into `right`'s.
+    The product is weighted when either factor is.
     """
-    if left.ring is not right.ring:
-        raise TypeError("ring mismatch between representations")
     if left.alphabet_size != right.alphabet_size:
         raise ValueError("alphabet size mismatch between representations")
-    ring = left.ring
-    zero = _zero(ring)
     m, n = left.states, right.states
     new_trans = []
     for letter in range(left.alphabet_size):
         tl = left.trans[letter]
         tr = right.trans[letter]
-        jump = _row_times_matrix(right.init, tr, zero)
+        jump = _row_times_matrix(right.init, tr, 0)
         rows = []
         for i in range(m):
             rows.append(tuple(tl[i]) + tuple(left.final[i] * jump[j] for j in range(n)))
         for i in range(n):
-            rows.append((zero,) * m + tuple(tr[i]))
+            rows.append((0,) * m + tuple(tr[i]))
         new_trans.append(tuple(rows))
-    eps_right = _dot(right.init, right.final, zero)
-    new_init = tuple(left.init) + (zero,) * n
+    eps_right = _dot(right.init, right.final, 0)
+    new_init = tuple(left.init) + (0,) * n
     new_final = tuple(f * eps_right for f in left.final) + tuple(right.final)
-    return LinearRepresentation(new_init, tuple(new_trans), new_final, ring)
+    return LinearRepresentation.of(new_init, new_trans, new_final)
 
 
-def all_words_representation(k: int, ring: Ring = Ring.INTEGER) -> LinearRepresentation:
+def all_words_representation(k: int) -> LinearRepresentation:
     """One state, value 1 on every word over a k-letter alphabet."""
     if k < 1:
         raise ValueError("alphabet needs at least one letter")
-    one = _coerce(ring, 1)
-    return LinearRepresentation((one,), tuple(((one,),) for _ in range(k)), (one,), ring)
+    return LinearRepresentation((1,), tuple(((1,),) for _ in range(k)), (1,))
 
 
 def subfactor_transform(rep: LinearRepresentation) -> LinearRepresentation:
     """Counter over contiguous factors: the value of a word becomes the sum
     of rep's values over all factors, built as the three-phase
     before/inside/after product with absorbing outer phases."""
-    everything = all_words_representation(rep.alphabet_size, rep.ring)
+    everything = all_words_representation(rep.alphabet_size)
     return representation_product(everything, representation_product(rep, everything))
 
 
@@ -205,14 +214,13 @@ def admissible_representation(weighted: bool = True) -> LinearRepresentation:
     each 01 extension carries the weight w, so the word 1(01)^k evaluates
     to w^k; unweighted, every complete pattern evaluates to 1.
     """
-    ring = Ring.POLY_W if weighted else Ring.INTEGER
     close = W if weighted else 1
     m_one = ((0, 1, 0), (0, 0, 0), (0, close, 0))
     m_zero = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-    return LinearRepresentation.of((1, 0, 0), (m_zero, m_one), (0, 1, 0), ring)
+    return LinearRepresentation.of((1, 0, 0), (m_zero, m_one), (0, 1, 0))
 
 
-def word_indicator(word, k: int, ring: Ring = Ring.INTEGER) -> LinearRepresentation:
+def word_indicator(word, k: int) -> LinearRepresentation:
     """Representation valued 1 exactly on the given digit word, 0 elsewhere."""
     word = tuple(word)
     if any(not 0 <= d < k for d in word):
@@ -227,4 +235,4 @@ def word_indicator(word, k: int, ring: Ring = Ring.INTEGER) -> LinearRepresentat
         trans.append(tuple(tuple(row) for row in matrix))
     init = (1,) + (0,) * (m - 1)
     final = (0,) * (m - 1) + (1,)
-    return LinearRepresentation.of(init, tuple(trans), final, ring)
+    return LinearRepresentation.of(init, tuple(trans), final)

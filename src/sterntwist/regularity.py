@@ -10,30 +10,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from operator import index
 
 from .sequences import Kind
 from .series import (
     DensePolynomial,
     InternalCheckError,
-    Ring,
     TruncatedSeries,
     div_exact,
     infinite_product,
     log_derivative,
     substitute_power,
     window_series,
-    _coerce,
-    _zero,
 )
 
 
-def expand_rational(num: DensePolynomial, den: DensePolynomial, order: int,
-                    ring: Ring = Ring.INTEGER) -> TruncatedSeries:
-    """num/den as a truncated series; den must open with a unit of the ring."""
-    return div_exact(num.to_series(order, ring), den.to_series(order, ring))
+def expand_rational(num: DensePolynomial, den: DensePolynomial, order: int) -> TruncatedSeries:
+    """num/den as a truncated series; den must open with +-1."""
+    return div_exact(num.to_series(order), den.to_series(order))
 
 
 @dataclass(frozen=True)
@@ -41,9 +36,9 @@ class AffineSystem:
     """System U_i = A_i + L_i(U_1(z^k), ..., U_d(z^k)).
 
     forms[i][j] is the z-polynomial coefficient of the j-th unknown inside
-    the i-th linear form, stored as a tuple of ring constants (degree 0
-    first).  constants[i] pins U_i(0); construction refuses a vector that
-    does not satisfy the equations modulo z.
+    the i-th linear form, stored as a tuple of integers (degree 0 first).
+    constants[i] pins U_i(0); construction refuses a vector that does not
+    satisfy the equations modulo z.
     """
 
     k: int
@@ -56,12 +51,8 @@ class AffineSystem:
         terms = tuple(terms)
         if not terms:
             raise ValueError("a system needs at least one equation")
-        ring = terms[0].ring
-        coerced_forms = tuple(
-            tuple(tuple(_coerce(ring, c) for c in poly) for poly in row) for row in forms
-        )
-        coerced_constants = tuple(_coerce(ring, c) for c in constants)
-        return cls(k, terms, coerced_forms, coerced_constants)
+        int_forms = tuple(tuple(tuple(map(index, poly)) for poly in row) for row in forms)
+        return cls(k, terms, int_forms, tuple(map(index, constants)))
 
     def __post_init__(self):
         d = len(self.terms)
@@ -71,9 +62,6 @@ class AffineSystem:
             raise ValueError("linear-form matrix must be d x d")
         if len(self.constants) != d:
             raise ValueError("need one pinned constant per unknown")
-        ring = self.ring
-        if any(a.ring is not ring for a in self.terms):
-            raise TypeError("all inhomogeneous terms must share one ring")
         for i in range(d):
             acc = self.terms[i].coeff(0)
             for j in range(d):
@@ -89,10 +77,6 @@ class AffineSystem:
     def d(self) -> int:
         return len(self.terms)
 
-    @property
-    def ring(self) -> Ring:
-        return self.terms[0].ring
-
     def max_form_degree(self) -> int:
         """Largest degree of a nonzero coefficient across all linear forms
         (-1 when every form is zero)."""
@@ -105,9 +89,9 @@ class AffineSystem:
         return deg
 
 
-def _apply_form(row, subs, order: int, ring: Ring) -> list:
+def _apply_form(row, subs, order: int) -> list[int]:
     """Evaluate one linear form on already-substituted unknowns."""
-    out = [_zero(ring)] * (order + 1)
+    out = [0] * (order + 1)
     for poly, sub in zip(row, subs):
         for m, c in enumerate(poly):
             if not c:
@@ -133,24 +117,17 @@ def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSerie
     for a in system.terms:
         if a.order < order:
             raise ValueError("inhomogeneous terms carry insufficient order")
-    ring = system.ring
     k = system.k
     terms = [a.truncate(order) for a in system.terms]
-    current = [
-        TruncatedSeries.constant(c, order, ring) for c in system.constants
-    ]
+    current = [TruncatedSeries.constant(c, order) for c in system.constants]
 
     def step(vec: list[TruncatedSeries]) -> list[TruncatedSeries]:
         subs = [substitute_power(u, k, order) if order else u for u in vec]
         out = []
         for i in range(system.d):
-            coeffs = _apply_form(system.forms[i], subs, order, ring)
+            coeffs = _apply_form(system.forms[i], subs, order)
             base = terms[i].coeffs
-            out.append(
-                TruncatedSeries(
-                    tuple(base[n] + coeffs[n] for n in range(order + 1)), ring
-                )
-            )
+            out.append(TruncatedSeries(tuple(base[n] + coeffs[n] for n in range(order + 1))))
         return out
 
     rounds = 1
@@ -177,7 +154,6 @@ def degree_reduce(system: AffineSystem) -> AffineSystem:
     if system.max_form_degree() < k:
         return system
     d = system.d
-    ring = system.ring
 
     def split(poly, row_out, j):
         low = list(poly[:k])
@@ -187,7 +163,7 @@ def degree_reduce(system: AffineSystem) -> AffineSystem:
             for m, c in enumerate(high):
                 if c:
                     while len(routed) <= m:
-                        routed.append(_zero(ring))
+                        routed.append(0)
                     routed[m] = routed[m] + c
             row_out[d + j] = tuple(routed)
         row_out[j] = tuple(low)
@@ -201,12 +177,12 @@ def degree_reduce(system: AffineSystem) -> AffineSystem:
     for i in range(d):
         row_out = [()] * (2 * d)
         for j in range(d):
-            shifted = (_zero(ring),) + tuple(system.forms[i][j])
+            shifted = (0,) + tuple(system.forms[i][j])
             split(shifted, row_out, j)
         new_forms.append(tuple(row_out))
 
     new_terms = system.terms + tuple(a.shift(1) for a in system.terms)
-    new_constants = system.constants + tuple(_zero(ring) for _ in range(d))
+    new_constants = system.constants + (0,) * d
     return AffineSystem(k, new_terms, tuple(new_forms), new_constants)
 
 
@@ -237,7 +213,10 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
     """(A, B) with A the base-k infinite product of `poly` and B = A'/A.
 
     B must satisfy B = P'/P + k z^{k-1} B(z^k); the residual is checked
-    exactly over the rationals before returning.
+    exactly before returning.  P(0) = 1, so P'/P has integer coefficients.
+    `div_exact` divides by the dense product by Newton, and by P, while P
+    has at most SPARSE_TERMS nonzero tail terms, by the term recurrence:
+    the two sides of the check take independent routes.
     """
     if poly.constant_term != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
@@ -245,14 +224,10 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
         raise ValueError("order must be at least 1")
     a = infinite_product(poly, k, order)
     b = log_derivative(a)
-    b_rat = b.to_ring(Ring.RATIONAL)
-    pp = div_exact(
-        poly.derivative().to_series(order - 1, Ring.RATIONAL),
-        poly.to_series(order - 1, Ring.RATIONAL),
-    )
-    sub = substitute_power(b_rat, k, max(order - k, 0))
+    pp = div_exact(poly.derivative().to_series(order - 1), poly.to_series(order - 1))
+    sub = substitute_power(b, k, max(order - k, 0))
     rhs = pp + sub.shift(k - 1).truncate(order - 1).scale(k)
-    if b_rat != rhs:
+    if b != rhs:
         raise InternalCheckError("log derivative violates its functional equation")
     return a, b
 
@@ -276,22 +251,11 @@ def binary_partition_series(order: int) -> TruncatedSeries:
 
 
 def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-free elimination.
-
-    Each row is scaled to integers first (rank-preserving), then Bareiss
-    one-step elimination keeps every intermediate entry an exact minor.
+    """Rank over the rationals of an integer matrix by fraction-free
+    elimination: Bareiss one-step elimination keeps every intermediate
+    entry an exact minor.
     """
-    mat = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = lcm(scale, x.denominator)
-        ints = []
-        for x in row:
-            v = x * scale
-            ints.append(int(v))
-        mat.append(ints)
+    mat = [list(map(index, row)) for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])

@@ -218,10 +218,10 @@ def enumerate_admissible(
 # ---------------------------------------------------------------------------
 
 
-def _schoolbook_mul(a, b, n: int, zero) -> list:
+def _schoolbook_mul(a, b, n: int) -> list[int]:
     """Coefficients 0..n of a*b.  The outer loop runs over `a` and skips its
     zeros, so the sparser operand goes first."""
-    out = [zero] * (n + 1)
+    out = [0] * (n + 1)
     for i, ci in enumerate(a[: n + 1]):
         if ci:
             for j, cj in enumerate(b[: n + 1 - i], i):
@@ -302,7 +302,7 @@ class IntPolynomial:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return type(self)(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2, 0)))
+        return type(self)(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 

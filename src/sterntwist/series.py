@@ -1,4 +1,4 @@
-"""Truncated formal power series over exact coefficient rings, dense integer
+"""Truncated formal power series with integer coefficients, dense integer
 polynomials in z, and the explicit product factorisations built from them.
 
 A series value always carries its truncation order; arithmetic truncates to
@@ -9,78 +9,23 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
+from operator import index
 
 from .sequences import (
-    ONE_W,
-    ZERO_W,
     IntPolynomial,
     Kind,
-    WeightPolynomial,
     _schoolbook_mul,
     prefix,
     render_coeffs,
 )
 
 
-class Ring(Enum):
-    INTEGER = "integer"
-    RATIONAL = "rational"
-    POLY_W = "integer-polynomial-in-w"
-
-
 class DivisionError(ArithmeticError):
-    """Exact series division impossible in the requested ring."""
+    """Exact series division impossible over the integers."""
 
 
 class InternalCheckError(RuntimeError):
     """Two supposedly equivalent computation routes disagreed."""
-
-
-def _zero(ring: Ring):
-    if ring is Ring.INTEGER:
-        return 0
-    if ring is Ring.RATIONAL:
-        return Fraction(0)
-    return ZERO_W
-
-
-def _one(ring: Ring):
-    if ring is Ring.INTEGER:
-        return 1
-    if ring is Ring.RATIONAL:
-        return Fraction(1)
-    return ONE_W
-
-
-def _coerce(ring: Ring, x):
-    if ring is Ring.INTEGER:
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        raise TypeError(f"{x!r} is not an integer-ring element")
-    if ring is Ring.RATIONAL:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise TypeError(f"{x!r} is not a rational-ring element")
-    p = WeightPolynomial._lift(x)
-    if p is not None:
-        return p
-    raise TypeError(f"{x!r} is not a w-polynomial-ring element")
-
-
-def _is_unit(ring: Ring, x) -> bool:
-    if ring is Ring.RATIONAL:
-        return x != 0
-    return x in (1, -1)
-
-
-def _unit_div(ring: Ring, a, unit):
-    if ring is Ring.RATIONAL:
-        return a / unit
-    return a * unit  # unit is +-1
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +40,15 @@ def _unit_div(ring: Ring, a, unit):
 # O(n log n), in a context with prec = MAX_PREC, Emax = MAX_EMAX and Inexact
 # and Rounded trapped: the product is exact or an exception, never rounded.
 # Without libmpdec (a `decimal` that is not the C build) the int route runs at
-# every length.  `fractions` already imports `decimal`, so it costs no import
-# time.  Division by a dense unit-lead integer series to n+1 coefficients
-# inverts the denominator by Newton only to h = ceil((n+1)/2) coefficients,
-# on the top-down precisions ceil((n+1)/2^i), and gets the upper half of the
-# quotient from the remainder the lower half leaves (Karp-Markstein): three
-# products with a half-length operand each instead of a full-length inverse
-# and product.  Both are O(M(n)).  When one operand (or the denominator's
+# every length.  Importing `decimal` takes about 1 ms (CPython 3.11).
+# Division by a dense series with a +-1 lead to n+1 coefficients inverts the
+# denominator by Newton only to h = ceil((n+1)/2) coefficients, on the
+# top-down precisions ceil((n+1)/2^i), and gets the upper half of the quotient
+# from the remainder the lower half leaves (Karp-Markstein): three products
+# with a half-length operand each instead of a full-length inverse and
+# product.  Both are O(M(n)).  When one operand (or the denominator's
 # tail) has at most SPARSE_TERMS nonzero coefficients, the schoolbook loops
-# are faster and run instead; the other rings always use them.
+# are faster and run instead.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -202,21 +147,21 @@ def _decimal_mul(a, b, n: int) -> list[int]:
     return [int(digits[i - width : i]) - half for i in range(end, end - width * (n + 1), -width)]
 
 
-def _mul_coeffs(a, b, n: int, ring: Ring) -> list:
-    """Coefficients 0..n of a*b in `ring`: Kronecker for dense integer
-    operands, through libmpdec once the shorter one reaches
-    TRANSFORM_LENGTH, the schoolbook loop otherwise."""
+def _mul_coeffs(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of a*b: Kronecker for dense operands, through
+    libmpdec once the shorter one reaches TRANSFORM_LENGTH, the schoolbook
+    loop otherwise."""
     a = a[: n + 1]
     b = b[: n + 1]
     na = len(a) - a.count(0)
     nb = len(b) - b.count(0)
     if na > nb:
         a, b, na = b, a, nb
-    if ring is Ring.INTEGER and na > SPARSE_TERMS:
+    if na > SPARSE_TERMS:
         if _LIBMPDEC and min(len(a), len(b)) >= TRANSFORM_LENGTH:
             return _decimal_mul(a, b, n)
         return _kron_mul(a, b, n)
-    return _schoolbook_mul(a, b, n, _zero(ring))
+    return _schoolbook_mul(a, b, n)
 
 
 def _inverse(d, n: int) -> list[int]:
@@ -234,8 +179,8 @@ def _inverse(d, n: int) -> list[int]:
     k = 1
     for k2 in reversed(lengths[:-1]):
         # d*g = 1 + z^k * e modulo z^{k2}; the correction is -g*e, placed at z^k
-        e = [-c for c in _mul_coeffs(d[:k2], g, k2 - 1, Ring.INTEGER)[k:]]
-        g += _mul_coeffs(g, e, k2 - k - 1, Ring.INTEGER)
+        e = [-c for c in _mul_coeffs(d[:k2], g, k2 - 1)[k:]]
+        g += _mul_coeffs(g, e, k2 - k - 1)
         k = k2
     return g
 
@@ -254,48 +199,51 @@ def _quotients(nums, d, n: int) -> list[list[int]]:
     g = _inverse(d, h - 1)
     out = []
     for m in nums:
-        q = _mul_coeffs(m, g, h - 1, Ring.INTEGER)
+        q = _mul_coeffs(m, g, h - 1)
         if n >= h:
-            dq = _mul_coeffs(d, q, n, Ring.INTEGER)
+            dq = _mul_coeffs(d, q, n)
             r = [m[i] - dq[i] for i in range(h, n + 1)]
-            q += _mul_coeffs(g, r, n - h, Ring.INTEGER)
+            q += _mul_coeffs(g, r, n - h)
         out.append(q)
     return out
 
 
+def _padded(cs: tuple, order: int) -> tuple:
+    """cs cut, or padded with zeros, to order + 1 coefficients."""
+    if order < 0:
+        raise ValueError("order must be a natural number")
+    return cs[: order + 1] + (0,) * (order + 1 - len(cs))
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Coefficients 0..order of a formal power series; coefficients beyond
-    `order` are unknown and never invented."""
+    """Integer coefficients 0..order of a formal power series; coefficients
+    beyond `order` are unknown and never invented."""
 
-    coeffs: tuple
-    ring: Ring = Ring.INTEGER
+    coeffs: tuple[int, ...]
 
     @classmethod
-    def from_coeffs(cls, coeffs, ring: Ring = Ring.INTEGER, order: int | None = None):
-        cs = [_coerce(ring, c) for c in coeffs]
+    def from_coeffs(cls, coeffs, order: int | None = None):
+        """The series of `coeffs`, which must be integers; a given order
+        cuts them or pads them with zeros."""
+        cs = tuple(map(index, coeffs))
         if order is not None:
-            if order < 0:
-                raise ValueError("order must be a natural number")
-            if order < len(cs) - 1:
-                cs = cs[: order + 1]
-            else:
-                cs.extend(_zero(ring) for _ in range(order + 1 - len(cs)))
+            cs = _padded(cs, order)
         if not cs:
             raise ValueError("a series carries at least its constant coefficient")
-        return cls(tuple(cs), ring)
+        return cls(cs)
 
     @classmethod
-    def zero(cls, order: int, ring: Ring = Ring.INTEGER):
-        return cls.from_coeffs([], ring, order)
+    def zero(cls, order: int):
+        return cls.from_coeffs((), order)
 
     @classmethod
-    def one(cls, order: int, ring: Ring = Ring.INTEGER):
-        return cls.from_coeffs([_one(ring)], ring, order)
+    def one(cls, order: int):
+        return cls.from_coeffs((1,), order)
 
     @classmethod
-    def constant(cls, value, order: int, ring: Ring = Ring.INTEGER):
-        return cls.from_coeffs([value], ring, order)
+    def constant(cls, value, order: int):
+        return cls.from_coeffs((value,), order)
 
     @property
     def order(self) -> int:
@@ -316,56 +264,40 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot raise a truncation order")
-        return TruncatedSeries(self.coeffs[: order + 1], self.ring)
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k; all shifted coefficients stay known, so the
         order grows by k."""
         if k < 0:
             raise ValueError("shift exponent must be a natural number")
-        zero = _zero(self.ring)
-        return TruncatedSeries((zero,) * k + self.coeffs, self.ring)
-
-    def to_ring(self, ring: Ring) -> "TruncatedSeries":
-        if ring is self.ring:
-            return self
-        return TruncatedSeries.from_coeffs(self.coeffs, ring)
+        return TruncatedSeries((0,) * k + self.coeffs)
 
     def _binop_check(self, other) -> int:
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries operand")
-        if other.ring is not self.ring:
-            raise TypeError(
-                f"ring mismatch: {self.ring.value} vs {other.ring.value}"
-            )
         return min(self.order, other.order)
 
     def __add__(self, other):
         n = self._binop_check(other)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), self.ring
-        )
+        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
 
     def __sub__(self, other):
         n = self._binop_check(other)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), self.ring
-        )
+        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.ring)
+        return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def scale(self, c) -> "TruncatedSeries":
-        c = _coerce(self.ring, c)
-        return TruncatedSeries(tuple(c * x for x in self.coeffs), self.ring)
+        c = index(c)
+        return TruncatedSeries(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         n = self._binop_check(other)
-        return TruncatedSeries(
-            tuple(_mul_coeffs(self.coeffs, other.coeffs, n, self.ring)), self.ring
-        )
+        return TruncatedSeries(tuple(_mul_coeffs(self.coeffs, other.coeffs, n)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -373,8 +305,6 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if other.ring is not self.ring:
-            return False
         n = min(self.order, other.order)
         return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
@@ -391,23 +321,18 @@ class TruncatedSeries:
 def div_exact(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """Exact quotient q with q*den = num up to order min(orders) - val(den).
 
-    The lowest nonzero denominator coefficient must be a unit of the ring;
-    over the integers that means +-1, and a quotient needing non-integer
-    coefficients is an error rather than a silent ring switch.  A dense
-    integer denominator is divided into by Karp-Markstein (`_quotients`);
-    otherwise the quotient comes from the term-by-term recurrence.
+    The lowest nonzero denominator coefficient must be +-1: a quotient
+    needing non-integer coefficients is an error.  A dense denominator is
+    divided into by Karp-Markstein (`_quotients`); otherwise the quotient
+    comes from the term-by-term recurrence.
     """
     return div_exact_many((num,), den)[0]
 
 
 def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
     """The exact quotients num/den for each num in `nums`, as div_exact,
-    each known to the smallest order of all the operands; a dense integer
+    each known to the smallest order of all the operands; a dense
     denominator is inverted once for all of them."""
-    for num in nums:
-        if num.ring is not den.ring:
-            raise TypeError(f"ring mismatch: {num.ring.value} vs {den.ring.value}")
-    ring = den.ring
     v = den.valuation()
     if v is None:
         raise DivisionError("division by the zero series")
@@ -415,9 +340,9 @@ def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
         if any(num.coeffs[i] for i in range(min(v, num.order + 1))):
             raise DivisionError("numerator valuation is below denominator valuation")
     lead = den.coeffs[v]
-    if not _is_unit(ring, lead):
+    if lead not in (1, -1):
         raise DivisionError(
-            f"denominator leading coefficient {lead!r} is not a unit of the {ring.value} ring"
+            f"denominator leading coefficient {lead!r} is not a unit of the integer ring"
         )
     n_out = min(min(num.order for num in nums), den.order) - v
     if n_out < 0:
@@ -425,8 +350,8 @@ def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
     ms = [num.coeffs[v:] for num in nums]
     d = den.coeffs[v:]
     den_terms = [(j, d[j]) for j in range(1, n_out + 1) if d[j]]
-    if ring is Ring.INTEGER and len(den_terms) > SPARSE_TERMS:
-        return tuple(TruncatedSeries(tuple(q), ring) for q in _quotients(ms, d, n_out))
+    if len(den_terms) > SPARSE_TERMS:
+        return tuple(TruncatedSeries(tuple(q)) for q in _quotients(ms, d, n_out))
     out = []
     for m in ms:
         q = []
@@ -436,8 +361,8 @@ def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
                 if j > n:
                     break
                 acc = acc - q[n - j] * dj
-            q.append(_unit_div(ring, acc, lead))
-        out.append(TruncatedSeries(tuple(q), ring))
+            q.append(acc * lead)  # lead is +-1, its own inverse
+        out.append(TruncatedSeries(tuple(q)))
     return tuple(out)
 
 
@@ -451,26 +376,23 @@ def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> Tr
         order = a.order
     if order > known:
         raise ValueError(f"a(z^{k}) is only determined to order {known}")
-    zero = _zero(a.ring)
-    out = [zero] * (order + 1)
+    out = [0] * (order + 1)
     for i, c in enumerate(a.coeffs):
         if i * k > order:
             break
         out[i * k] = c
-    return TruncatedSeries(tuple(out), a.ring)
+    return TruncatedSeries(tuple(out))
 
 
 def derivative(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise derivative; the order drops by one."""
     if a.order < 1:
         raise ValueError("derivative needs order at least 1")
-    return TruncatedSeries(
-        tuple(i * a.coeffs[i] for i in range(1, a.order + 1)), a.ring
-    )
+    return TruncatedSeries(tuple(i * a.coeffs[i] for i in range(1, a.order + 1)))
 
 
 def log_derivative(a: TruncatedSeries, strip_valuation: bool = False) -> TruncatedSeries:
-    """a'/a, requiring a unit constant coefficient.
+    """a'/a, requiring a constant coefficient of +-1.
 
     With strip_valuation, a = z^v * u is accepted and the result is u'/u;
     the caller accounts for the missing v/z term itself.
@@ -481,10 +403,10 @@ def log_derivative(a: TruncatedSeries, strip_valuation: bool = False) -> Truncat
         if v is None:
             raise DivisionError("logarithmic derivative of the zero series")
         if v:
-            u = TruncatedSeries(a.coeffs[v:], a.ring)
-    if not _is_unit(u.ring, u.coeffs[0]):
+            u = TruncatedSeries(a.coeffs[v:])
+    if u.coeffs[0] not in (1, -1):
         raise DivisionError(
-            f"constant coefficient {u.coeffs[0]!r} is not a unit of the {u.ring.value} ring"
+            f"constant coefficient {u.coeffs[0]!r} is not a unit of the integer ring"
         )
     return div_exact(derivative(u), u)
 
@@ -498,7 +420,7 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
     if a.order < r:
         raise ValueError("order too small for this section")
     n_out = (a.order - r) // k
-    return TruncatedSeries(tuple(a.coeffs[r + i * k] for i in range(n_out + 1)), a.ring)
+    return TruncatedSeries(tuple(a.coeffs[r + i * k] for i in range(n_out + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +442,7 @@ class DensePolynomial(IntPolynomial):
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return DensePolynomial(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2, Ring.INTEGER)))
+        return DensePolynomial(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
@@ -551,22 +473,21 @@ class DensePolynomial(IntPolynomial):
             out[i * k] = c
         return DensePolynomial(tuple(out))
 
-    def to_series(self, order: int, ring: Ring = Ring.INTEGER) -> TruncatedSeries:
-        return TruncatedSeries.from_coeffs(self.coeffs, ring, order)
+    def to_series(self, order: int) -> TruncatedSeries:
+        return TruncatedSeries(_padded(self.coeffs, order))
 
 
-def infinite_product(poly: DensePolynomial, k: int, order: int,
-                     ring: Ring = Ring.INTEGER) -> TruncatedSeries:
+def infinite_product(poly: DensePolynomial, k: int, order: int) -> TruncatedSeries:
     """Product of poly(z^{k^m}) over all m with k^m <= order, truncated at
     `order`; later factors are 1 modulo z^{order+1}."""
     if k < 2:
         raise ValueError("product base must be at least 2")
     if poly.constant_term != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
-    acc = TruncatedSeries.one(order, ring)
+    acc = TruncatedSeries.one(order)
     step = 1
     while step <= order:
-        factor = poly.substitute_power(step).to_series(order, ring)
+        factor = poly.substitute_power(step).to_series(order)
         acc = acc * factor
         step *= k
     return acc

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sterntwist
 import sterntwist.series as series
 from sterntwist.cli import BFile, BFileFormatError, parse_bfile, run
 from sterntwist.config import ORDER_ENV_VAR
@@ -447,3 +451,15 @@ def test_exit_code_contract(argv):
     assert "Traceback" not in err, (argv, err)
     if code == 1:
         assert any("FAIL" in line for line in out.splitlines()), (argv, out)
+
+
+def test_cli_import_loads_no_fractions():
+    # series are integer-only, so nothing on the CLI's import path needs
+    # rational arithmetic
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sterntwist.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -7,7 +7,6 @@ both sides of the sparse and the transform cutoffs.
 """
 import decimal
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,6 @@ from sterntwist.series import (
     TRANSFORM_LENGTH,
     DensePolynomial,
     DivisionError,
-    Ring,
     TruncatedSeries,
     div_exact,
     log_derivative,
@@ -195,19 +193,6 @@ def test_dense_division_checks_still_apply():
         div_exact(dense, dense.shift(1))
     with pytest.raises(DivisionError):
         div_exact(TruncatedSeries.zero(2), dense.shift(5))
-    with pytest.raises(TypeError):
-        div_exact(dense, dense.to_ring(Ring.RATIONAL))
-
-
-def test_rational_ring_keeps_the_schoolbook_loop(monkeypatch):
-    calls = count_kron_calls(monkeypatch)
-    a = [Fraction(n + 1, 3) for n in range(80)]
-    b = [Fraction(stern(n + 1), n + 2) for n in range(80)]
-    got = TruncatedSeries.from_coeffs(a, Ring.RATIONAL) * TruncatedSeries.from_coeffs(b, Ring.RATIONAL)
-    assert list(got.coeffs) == schoolbook_mul(a, b, 79)
-    q = div_exact(got, TruncatedSeries.from_coeffs(b, Ring.RATIONAL))
-    assert q.coeffs == tuple(a)
-    assert not calls
 
 
 def test_h_series_newton_route_matches_fixed_point_at_order_2_pow_14():
@@ -339,15 +324,15 @@ def _inverse_doubling(d, n):
     k = 1
     while k <= n:
         k2 = min(2 * k, n + 1)
-        e = [-c for c in series._mul_coeffs(d[:k2], g, k2 - 1, Ring.INTEGER)[k:]]
-        g += series._mul_coeffs(g, e, k2 - k - 1, Ring.INTEGER)
+        e = [-c for c in series._mul_coeffs(d[:k2], g, k2 - 1)[k:]]
+        g += series._mul_coeffs(g, e, k2 - k - 1)
         k = k2
     return g
 
 
 def _divide_doubling(m, d, n):
     """The former dense quotient: full-length inverse, then one full product."""
-    return series._mul_coeffs(m, _inverse_doubling(d, n), n, Ring.INTEGER)
+    return series._mul_coeffs(m, _inverse_doubling(d, n), n)
 
 
 #: Factors 1 + a*x + b*x^2 with every root on the unit circle; a product of
@@ -439,10 +424,10 @@ def test_newton_steps_never_overshoot_the_target(monkeypatch):
     lengths = []
     route = series._mul_coeffs
 
-    def spy(a, b, n, ring):
+    def spy(a, b, n):
         # every Newton product takes g and a slice of d, or g and a correction
         lengths.extend(len(x) for x in (a, b) if list(x) != d[: len(x)])
-        return route(a, b, n, ring)
+        return route(a, b, n)
 
     monkeypatch.setattr(series, "_mul_coeffs", spy)
     g = series._inverse(d, 8192)

@@ -16,7 +16,7 @@ from sterntwist.ratwords import (
     word_indicator,
 )
 from sterntwist.sequences import W, WeightPolynomial, stern, weighted_stern
-from sterntwist.series import Ring, infinite_product, DensePolynomial
+from sterntwist.series import infinite_product, DensePolynomial
 
 short_words = st.lists(st.integers(min_value=0, max_value=1), max_size=10).map(tuple)
 
@@ -45,6 +45,7 @@ def test_admissible_recogniser():
     assert rep.evaluate((1, 1)) == 0
     assert rep.evaluate((0, 1)) == 0
     assert rep.evaluate(()) == 0
+    assert isinstance(rep.evaluate(()), WeightPolynomial)  # zero of the entries' kind
     assert rep.states == 3
 
 
@@ -124,6 +125,9 @@ def test_subfactor_transform_matches_brute_force(word):
     assert subfactor_transform(rep).evaluate(word) == brute_factor_sum(rep, word)
     other = word_indicator((0, 1, 1), 2)
     assert subfactor_transform(other).evaluate(word) == brute_factor_sum(other, word)
+    # the integer all-words factors lift to w-polynomials around a weighted rep
+    weighted = admissible_representation()
+    assert subfactor_transform(weighted).evaluate(word) == brute_factor_sum(weighted, word)
 
 
 def test_subfactor_counts_empty_decompositions():
@@ -165,11 +169,9 @@ def test_serialisation():
     assert blob["ring"] == "integer-polynomial-in-w"
     # w-polynomial entries serialise as coefficient-string arrays
     assert blob["trans"][1][2][1] == ["0", "1"]
+    factors = subfactor_transform(admissible_representation()).to_json_dict()
+    assert factors["ring"] == "integer-polynomial-in-w"
+    assert all(isinstance(x, list) for row in factors["trans"][0] for x in row)
     plain = word_indicator((1,), 2).to_json_dict()
     assert plain["init"] == ["1", "0"]
     assert all(isinstance(x, str) for row in plain["trans"][0] for x in row)
-
-
-def test_rational_ring_rejected():
-    with pytest.raises(TypeError):
-        LinearRepresentation.of((1,), (((1,),),), (1,), Ring.RATIONAL)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -26,3 +28,16 @@ def test_kernel_growth_prints_every_target():
     headers = [line for line in done.stdout.splitlines() if not line.startswith(" ")]
     assert headers == ["stern", "H", "C", "binpart"]
     assert done.stdout.count("ranks [") == 12
+
+
+@pytest.mark.parametrize("name, args", [
+    ("full_verification.py", ("--max-e", "-1")),
+    ("full_verification.py", ("--order", "3000000")),
+    ("kernel_growth.py", ("--depth", "-1")),
+])
+def test_bad_arguments_exit_2(name, args):
+    done = run_script(name, *args)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"{name}: ")
+    assert done.stdout == ""
