@@ -4,7 +4,9 @@ b-file cross-checks.
 
 Exit codes: 0 all checks pass / output produced; 1 a verification found a
 counterexample outside conjectures and flagged typos; 2 usage or input
-error.  All numeric output is decimal strings; nothing is ever a float.
+error, which a subcommand raises as ValueError or OSError (a refused
+argument, an unreadable b-file, a failed write) for `run` alone to report.
+All numeric output is decimal strings; nothing is ever a float.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULTS, ORDER_ENV_VAR
 from . import ratwords, regularity, verify
-from .sequences import Kind, prefix, stern, twisted, weighted_even, weighted_stern
+from .sequences import MAX_TABLE, stern, twisted, weighted_even, weighted_stern
 from .series import (
     carlitz_series,
     psi,
@@ -117,6 +119,21 @@ def _default_order() -> int:
     return value
 
 
+#: Orders lie below this.  The widest reader, the u series, takes the first
+#: order + 5 entries of t, so no order-taking command passes MAX_TABLE.
+MAX_ORDER = MAX_TABLE - 8
+
+
+def _order(args) -> int:
+    """--order, else the default order; refused unless 0 <= order < MAX_ORDER."""
+    order = args.order if args.order is not None else _default_order()
+    if order < 0:
+        raise ValueError("order must be a natural number")
+    if order >= MAX_ORDER:
+        raise ValueError(f"order must be below {MAX_ORDER}")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -124,8 +141,9 @@ def _default_order() -> int:
 
 def _cmd_seq(args) -> int:
     if args.start < 0 or args.end < args.start:
-        print("seq: need 0 <= from <= to", file=sys.stderr)
-        return 2
+        raise ValueError("need 0 <= from <= to")
+    if args.end - args.start >= MAX_TABLE:
+        raise ValueError(f"a range holds at most {MAX_TABLE} values")
     producers = {
         "s": stern,
         "t": twisted,
@@ -187,14 +205,7 @@ def _series_by_name(name: str, order: int, e: int | None):
 
 
 def _cmd_series(args) -> int:
-    try:
-        order = args.order if args.order is not None else _default_order()
-        if order < 0:
-            raise ValueError("order must be a natural number")
-        result = _series_by_name(args.name, order, args.e)
-    except ValueError as exc:
-        print(f"series: {exc}", file=sys.stderr)
-        return 2
+    result = _series_by_name(args.name, _order(args), args.e)
     if args.format == "json":
         print(
             json.dumps(
@@ -213,44 +224,24 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        n_limit = args.max_n if args.max_n is not None else _default_order()
-        reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    n_limit = args.max_n if args.max_n is not None else _default_order()
+    reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
     _emit_reports(reports, args.format)
     return 1 if any(r.blocking for r in reports) else 0
 
 
 def _cmd_scan(args) -> int:
     if args.identity not in verify.REGISTRY:
-        print(f"scan: unknown identity {args.identity!r}", file=sys.stderr)
-        return 2
-    try:
-        report = verify.check_identity(args.identity, args.e, verify.SCAN)
-    except ValueError as exc:
-        print(f"scan: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown identity {args.identity!r}")
+    report = verify.check_identity(args.identity, args.e, verify.SCAN)
     _emit_reports([report], args.format)
     return 0
 
 
 def _cmd_kernel(args) -> int:
-    try:
-        order = args.order if args.order is not None else _default_order()
-        if args.target == "stern":
-            values = prefix(Kind.STERN, order)[: max(order, 0)]
-        elif args.target == "H":
-            values = regularity.h_series(order - 1).coeffs
-        elif args.target == "C":
-            values = regularity.c_series(order - 1).coeffs
-        else:
-            values = regularity.binary_partition_series(order - 1).coeffs
-        report = regularity.kernel_rank(args.target, values, args.k, args.depth, order)
-    except ValueError as exc:
-        print(f"kernel: {exc}", file=sys.stderr)
-        return 2
+    order = _order(args)
+    values = _series_by_name(args.target, order - 1, None).coeffs
+    report = regularity.kernel_rank(args.target, values, args.k, args.depth, order)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -264,23 +255,14 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    try:
-        order = args.order if args.order is not None else _default_order()
-        if args.which == "gen":
-            reports = [verify.check_conjecture_gen(args.max_e, order)]
-        else:
-            reports = [verify.check_conjecture_ab(args.max_e, order)]
-    except ValueError as exc:
-        print(f"conjecture: {exc}", file=sys.stderr)
-        return 2
-    _emit_reports(reports, args.format)
+    check = verify.check_conjecture_gen if args.which == "gen" else verify.check_conjecture_ab
+    _emit_reports([check(args.max_e, _order(args))], args.format)
     return 0
 
 
 def _cmd_count(args) -> int:
     if args.weighted and args.pattern != "admissible":
-        print("count: --weighted only applies to the admissible pattern", file=sys.stderr)
-        return 2
+        raise ValueError("--weighted only applies to the admissible pattern")
     if args.pattern == "admissible":
         rep = ratwords.subsequence_transform(
             ratwords.admissible_representation(weighted=args.weighted)
@@ -289,33 +271,18 @@ def _cmd_count(args) -> int:
         rep = ratwords.subsequence_transform(ratwords.word_indicator((1,), 2))
     else:  # factor11
         rep = ratwords.subfactor_transform(ratwords.word_indicator((1, 1), 2))
-    try:
-        value = ratwords.count_in_expansion(rep, args.n, 2)
-    except ValueError as exc:
-        print(f"count: {exc}", file=sys.stderr)
-        return 2
-    print(str(value))
+    print(str(ratwords.count_in_expansion(rep, args.n, 2)))
     return 0
 
 
 def _cmd_oeis_check(args) -> int:
     target = _OEIS_TARGETS[args.oeis_id]
     limit = args.limit if args.limit is not None else target["limit"]
-    try:
-        with open(args.bfile, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"oeis-check: {exc}", file=sys.stderr)
-        return 2
-    try:
-        bfile = parse_bfile(text, args.oeis_id)
-    except BFileFormatError as exc:
-        print(f"oeis-check: {exc}", file=sys.stderr)
-        return 2
+    with open(args.bfile, "r", encoding="utf-8") as handle:
+        bfile = parse_bfile(handle.read(), args.oeis_id)
     usable = [(i, v) for i, v in bfile.entries if i <= limit]
     if not usable:
-        print(f"oeis-check: no entries with index <= {limit}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no entries with index <= {limit}")
     reference = _oeis_reference_values(args.oeis_id, max(i for i, _ in usable))
     mismatches = [(i, v, reference(i)) for i, v in usable if reference(i) != v]
     checked = len(usable)
@@ -415,7 +382,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    return 0
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

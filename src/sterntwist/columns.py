@@ -125,8 +125,8 @@ def _nonnegative(span: Span) -> tuple[int, int]:
 #: next.  A strided read's neighbours share its stride, so most of what it
 #: fills is never read.  The DIV-S/DIV-T scans fill at most 16 entries per
 #: value at strides up to 128 and 70-800 at strides 256-2048, where filling
-#: took the tables to 9*2^e_max entries for a few hundred values.  A lookup
-#: costs about as much time as filling 90 entries.
+#: would take the tables to MAX_TABLE entries for a few hundred values.  A
+#: lookup costs about as much time as filling 90 entries.
 SPARSE_FILL = 32
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add, neg
+from itertools import zip_longest
+from operator import add, index, neg
 from typing import ClassVar
 
 from .config import DEFAULTS
@@ -26,46 +27,41 @@ class InputTooLargeError(ValueError):
     """Enumeration guard tripped: the input has too many binary digits."""
 
 
+#: Most entries either prefix table may hold: `prefix` refuses a longer one
+#: before it grows, and the CLI caps every order it takes below it.
+MAX_TABLE = 1 << 21
+
+
 @dataclass
 class SequenceCache:
-    """Memoised values of one of the two diatomic recursions.
+    """Point lookups of one of the two diatomic recursions.
 
     stern:    value(0)=0, value(1)=1, value(2n)=value(n),
               value(2n+1)=value(n)+value(n+1) for n >= 1.
     twisted:  the same recursion with both right-hand sides negated.
 
     A lookup folds the binary digits of n over the pair
-    (value(m), value(m+1)), so it never recurses; every binary prefix of n
-    is cached on the way down.  Cache writes are idempotent, which keeps
-    concurrent use under CPython benign; workers wanting full isolation
-    simply construct their own cache.
+    (value(m), value(m+1)), so it never recurses, and it stores nothing:
+    the prefix tables below are the one store of both sequences.
     """
 
     kind: Kind
+    # Always empty.  Kept, with the class, because perfbench/tracer.py
+    # rebinds `SequenceCache.value` and reads len(cache.values) on each call.
     values: dict[int, int] = field(default_factory=dict)
 
     def value(self, n: int) -> int:
         if n < 0:
             raise ValueError("sequence index must be a natural number")
-        got = self.values.get(n)
-        if got is not None:
-            return got
-        store = self.values
-        store[0] = 0
         if n == 0:
             return 0
         sign = 1 if self.kind is Kind.STERN else -1
         a, b = 1, sign  # (value(1), value(2)); the recursion starts at m=1
-        store[1] = 1
-        m = 1
         for shift in range(n.bit_length() - 2, -1, -1):
             if (n >> shift) & 1:
                 a, b = sign * (a + b), sign * b
-                m = 2 * m + 1
             else:
                 a, b = sign * a, sign * (a + b)
-                m = 2 * m
-            store[m] = a
         return a
 
 
@@ -92,9 +88,13 @@ def prefix(kind: Kind, length: int) -> list[int]:
 
     The table is filled by the recursion in O(length) with whole-slice
     operations.  It holds exactly as many entries as the longest prefix
-    asked of its kind so far, never more, and lives as long as the process.
-    Callers read it and must not change it.
+    asked of its kind so far, never more, and a length past MAX_TABLE
+    raises ValueError before the table grows.  Callers read it and must
+    not change it.
     """
+    if length > MAX_TABLE:
+        raise ValueError(f"a prefix of {length} entries is past the cap "
+                         f"(tables are capped at {MAX_TABLE} entries)")
     table = _PREFIXES[kind]
     if len(table) < length:
         if len(table) < 2:
@@ -237,14 +237,15 @@ class IntPolynomial:
 
     Each subclass names its own variable.  Results keep the operands'
     class, plain ints mix in, and polynomials of two different classes
-    neither combine nor compare equal.
+    neither combine nor compare equal.  A coefficient that is not an
+    integer raises TypeError.
     """
 
     coeffs: tuple[int, ...]
     var: ClassVar[str]
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = tuple(map(index, self.coeffs))
         end = len(c)
         while end > 1 and c[end - 1] == 0:
             end -= 1
@@ -366,20 +367,21 @@ def render_coeffs(coeffs, var: str) -> str:
 
 def _weighted_pair(n: int) -> tuple[WeightPolynomial, WeightPolynomial]:
     """(S(n), S_e(n)) by one fold of the binary digits of n, top bit first,
-    from (S(0), S_e(0)) = (0, 1).  It never recurses and keeps no memo.
+    from (S(0), S_e(0)) = (0, 1).  It never recurses, keeps no memo, and
+    folds plain coefficient lists, which become polynomials once, at the end.
 
         S(2m)   = S(m)             S_e(2m)   = w*S(m) + S_e(m)
         S(2m+1) = S(m) + S_e(m)    S_e(2m+1) = S_e(m)
     """
     if n < 0:
         raise ValueError("weighted counts need a natural number")
-    s, se = ZERO_W, ONE_W
+    s, se = [], [1]
     for shift in range(n.bit_length() - 1, -1, -1):
         if (n >> shift) & 1:
-            s = s + se
+            s = [a + b for a, b in zip_longest(s, se, fillvalue=0)]
         else:
-            se = s.shift(1) + se
-    return s, se
+            se = [a + b for a, b in zip_longest([0] + s, se, fillvalue=0)]
+    return WeightPolynomial(tuple(s)), WeightPolynomial(tuple(se))
 
 
 def weighted_stern(n: int) -> WeightPolynomial:
@@ -429,7 +431,7 @@ def weighted_stern_alt(n: int) -> WeightPolynomial:
         if x > 1 and x not in parts:
             parts[x] = _alt_parts(x)
             stack.extend(parts[x])
-    memo = {0: ZERO_W, 1: ONE_W}
+    memo, w_less_1 = {0: ZERO_W, 1: ONE_W}, W - 1
     for x in sorted(parts):
         p = parts[x]
         if x % 2 == 0:
@@ -437,7 +439,7 @@ def weighted_stern_alt(n: int) -> WeightPolynomial:
         elif x % 4 == 1:
             memo[x] = W * memo[p[0]] + memo[p[1]]
         else:
-            memo[x] = memo[p[0]] + memo[p[1]] + (W - 1) * memo[p[2]]
+            memo[x] = memo[p[0]] + memo[p[1]] + w_less_1 * memo[p[2]]
     return memo[n]
 
 

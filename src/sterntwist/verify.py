@@ -6,9 +6,10 @@ and a status flag.  Sweeps and scans call each side once per block of at
 most BLOCK consecutive n, with n a `columns.Span` and s, t column readers:
 each read of s or t is one (possibly strided) slice of a flat prefix of the
 sequence (`sequences.prefix`), which the recursion fills in O(length) and
-which grows only as far as a check reads.  Indices from 9*2^e_max + 1 on
-are looked up one by one.  The dedicated checkers read the same prefixes
-BLOCK n at a time and walk n by n only a block that disagrees.
+which grows only as far as a check reads, and never past MAX_TABLE.
+Indices from MAX_TABLE on, and sparse strided reads, are looked up one by
+one.  The dedicated checkers read the same prefixes BLOCK n at a time and
+walk n by n only a block that disagrees.
 Entries whose printed statement disagrees with exhaustive computation are
 kept verbatim and flagged ``suspected-typo``; their failures are
 documented, not hidden, and never fail the build.  Conjecture checkers
@@ -24,7 +25,7 @@ from operator import add, and_, mul, sub
 from typing import Callable
 
 from .columns import Column, Reader, Span, column_reader
-from .sequences import Kind, prefix, stern, twisted
+from .sequences import MAX_TABLE, Kind, prefix, stern, twisted
 from .series import (
     DivisionError,
     TruncatedSeries,
@@ -344,10 +345,6 @@ SCAN = "scan"
 #: peaked at 21.0 MiB, and all three swept equally fast.
 BLOCK = 1 << 10
 
-#: Most entries a sweep, scan or suite may ask of either prefix table (e_max
-#: <= 17, n_limit < 2^21); `verify --suite all` at both caps peaks at 161 MiB.
-MAX_TABLE = 1 << 21
-
 #: What a counterexample shows for both sides of a point where some read
 #: left the natural numbers.
 OUT_OF_DOMAIN = "out-of-domain"
@@ -382,7 +379,9 @@ def _blocks(lo: int, hi: int):
 
 def _bound_tables(e_max: int, n_limit: int = 0) -> None:
     """Refuse, before any table grows, an e_max or n_limit whose tables
-    (9*2^e_max + 1 or n_limit + 1 entries) would pass MAX_TABLE."""
+    (9*2^e_max + 1 or n_limit + 1 entries) would pass MAX_TABLE;
+    `verify --suite all` at both caps (e_max <= 17, n_limit < 2^21) peaks
+    at 161 MiB."""
     cap = f"(tables are capped at {MAX_TABLE} entries)"
     if e_max > MAX_TABLE.bit_length() or (9 << e_max) + 1 > MAX_TABLE:
         raise ValueError(f"e_max must be at most {((MAX_TABLE - 1) // 9).bit_length() - 1} {cap}")
@@ -438,10 +437,9 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
     block whose sides agree everywhere passes whole; any other is walked in
     n order, so passes, failures and counterexamples are those of a
     point-by-point sweep, and a scan stops at the block holding its first
-    failure.  Both sides read s and t from the prefixes below
-    9*2^e_max + 1 <= MAX_TABLE (past every printed range once e_max >= 11);
-    an index beyond that (scans of REC-S, REC-T and the DIV pair) is looked
-    up on its own.
+    failure.  Both sides read s and t from the prefix tables, which grow
+    only as far as the reads go; an index from MAX_TABLE on, or a sparse
+    strided read (see `columns.SPARSE_FILL`), is looked up on its own.
     """
     record = REGISTRY[identity]
     if n_policy not in (PRINTED_RANGE, SCAN):
@@ -456,7 +454,7 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
         params=f"e in [{record.e_min}, {e_max}], policy={n_policy}",
         status=record.status,
     )
-    s, t = _readers((9 << e_max) + 1)
+    s, t = _readers(MAX_TABLE)
     if n_policy == SCAN:
         report.scanned = {}
     for e in range(record.e_min, e_max + 1):

@@ -15,7 +15,7 @@ import sterntwist.series as series
 from sterntwist.cli import BFile, BFileFormatError, parse_bfile, run
 from sterntwist.config import ORDER_ENV_VAR
 from sterntwist.regularity import h_series
-from sterntwist.sequences import stern
+from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
 from sterntwist.verify import REGISTRY, SUITES
 
 
@@ -317,15 +317,52 @@ def test_usage_errors(capsys):
     ["verify", "--jobs", "-3"],
     ["verify", "--jobs", "0"],
     ["scan", "--identity", "ID3", "--e", "-1"],
+    ["series", "--name", "psi", "--e", "30"],
+    ["kernel", "--target", "stern", "--depth", "2", "--order", "400000000"],
+    ["series", "--name", "binpart", "--order", str(MAX_TABLE)],
+    ["kernel", "--target", "H", "--order", str(MAX_TABLE)],
+    ["conjecture", "--which", "gen", "--order", str(MAX_TABLE)],
+    ["series", "--name", "u", "--order", str(MAX_TABLE - 1)],
+    ["conjecture", "--which", "ab", "--order", str(MAX_TABLE - 1)],
+    ["seq", "--kind", "s", "--from", "1", "--to", str(MAX_TABLE + 1)],
 ])
 def test_bad_argv_exits_2(capsys, argv):
-    # each is rejected before any sweep runs or any worker process starts
+    # each is rejected before any sweep runs, any worker process starts or
+    # either prefix table grows
+    before = [len(table) for table in _PREFIXES.values()]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in captured.err
+    assert [len(table) for table in _PREFIXES.values()] == before
+
+
+def test_caps_sit_at_their_bounds(capsys, monkeypatch):
+    # a range of MAX_TABLE values still runs, and so does every
+    # order-taking command at MAX_ORDER - 1: its widest read stays inside
+    # the tables' cap
+    import sterntwist.cli as cli
+    import sterntwist.sequences as sequences
+
+    monkeypatch.setattr(cli, "MAX_TABLE", 8)
+    code, out = invoke(capsys, ["seq", "--kind", "s", "--from", "3", "--to", "10"])
+    assert (code, len(out.splitlines())) == (0, 8)
+    assert run(["seq", "--kind", "s", "--from", "3", "--to", "11"]) == 2
+    margin = MAX_TABLE - cli.MAX_ORDER
+    monkeypatch.setattr(sequences, "MAX_TABLE", 64 + margin)
+    monkeypatch.setattr(cli, "MAX_ORDER", 64)
+    argvs = [["series", "--name", name] for name in
+             ("stern", "twisted", "carlitz", "H", "C", "u", "A", "B", "binpart")]
+    argvs += [["kernel", "--target", target, "--depth", "2"]
+              for target in ("stern", "H", "C", "binpart")]
+    argvs += [["conjecture", "--which", which, "--max-e", "2"] for which in ("gen", "ab")]
+    for argv in argvs:
+        code, out = invoke(capsys, argv + ["--order", "63"])
+        assert code == 0 and out, argv
+        assert run(argv + ["--order", "64"]) == 2
+        assert capsys.readouterr().err == f"{argv[0]}: order must be below 64\n"
 
 
 def test_identity_below_its_e_min(capsys):

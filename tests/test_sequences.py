@@ -65,21 +65,21 @@ def test_negative_index_rejected():
         stern(-1)
 
 
-def test_cache_stores_recursion_consistent_values():
-    cache = SequenceCache(Kind.STERN)
-    cache.value(777)
-    for n, value in cache.values.items():
-        assert value >= 0
-        if n >= 1:
-            assert value > 0
-        if n >= 2 and n // 2 in cache.values:
-            if n % 2 == 0:
-                assert value == cache.values[n // 2]
-    tcache = SequenceCache(Kind.TWISTED)
-    tcache.value(777)
-    for n, value in tcache.values.items():
-        if n >= 2 and n % 2 == 0 and n // 2 in tcache.values:
-            assert value == -tcache.values[n // 2]
+def test_point_lookups_match_the_tables_and_store_nothing():
+    size = 1 << 14
+    assert [stern(n) for n in range(size)] == prefix(Kind.STERN, size)[:size]
+    assert [twisted(n) for n in range(size)] == prefix(Kind.TWISTED, size)[:size]
+    lengths = [len(table) for table in sequences._PREFIXES.values()]
+    rng = random.Random(2010)
+    for k in range(500):
+        n = rng.getrandbits(200)
+        s, t = stern(n), twisted(n)
+        if k < 200:
+            # an independent route: S(n) counts admissible subsequences
+            assert s == weighted_stern(n).evaluate(1)
+        assert s % 2 == t % 2 == mod2(n)
+    assert sequences._STERN.values == {} and sequences._TWISTED.values == {}
+    assert [len(table) for table in sequences._PREFIXES.values()] == lengths
 
 
 #: Prefix lengths at the seed and on both sides of the power-of-two block

@@ -54,7 +54,11 @@ def test_basic_arithmetic():
     lambda x: exact_rank([[1, x], [3, 2]]),
     lambda x: LinearRepresentation.of((1,), (((x,),),), (1,)),
     lambda x: LinearRepresentation.of((W,), (((x,),),), (1,)),
-], ids=["from_coeffs", "scale", "form", "constant", "exact_rank", "rep", "weighted_rep"])
+    lambda x: DensePolynomial((1, x)),
+    lambda x: WeightPolynomial((1, x)),
+    lambda x: infinite_product(DensePolynomial((1, x)), 2, 4),
+], ids=["from_coeffs", "scale", "form", "constant", "exact_rank", "rep", "weighted_rep",
+        "dense_poly", "weight_poly", "infinite_product"])
 def test_non_integers_are_type_errors(build, bad):
     # every coefficient is an integer; nothing is silently truncated or rationalised
     with pytest.raises(TypeError):

@@ -139,6 +139,15 @@ def test_columns_match_point_oracle(identity):
             assert check_identity(identity, e_max, policy).to_json() == want
 
 
+#: Prepended to a fresh-interpreter script: records the index of every
+#: `SequenceCache.value` call in `calls`.
+_COUNT_POINT_LOOKUPS = """
+from sterntwist import sequences
+calls = []
+point = sequences.SequenceCache.value
+sequences.SequenceCache.value = lambda cache, n: calls.append(n) or point(cache, n)
+"""
+
 #: Scans DIV-x at e = 14 in a fresh interpreter, then again with strided
 #: reads always filling the prefix tables; prints both reports and the table
 #: lengths after each.
@@ -165,7 +174,28 @@ def test_sparse_strided_scans_leave_the_tables_small(identity):
     got, want, sizes, filled = json.loads(done.stdout)
     assert got == want
     assert max(sizes) < 1 << 15
-    assert max(filled) == (9 << 14) + 1
+    assert max(filled) == verify.MAX_TABLE
+
+
+_FRESH_DIV_SWEEPS = _COUNT_POINT_LOOKUPS + """
+from sterntwist import verify
+for identity in ("DIV-S", "DIV-T"):
+    for e in (4, 6, 8):
+        assert verify.check_identity(identity, e).ok
+print(len(calls))
+"""
+
+
+def test_div_sweeps_read_only_the_tables():
+    # the DIV pair reads s and t up to 9*2^14 at every e; the tables serve
+    # all of it, so no value is looked up point by point
+    env = dict(os.environ, PYTHONPATH=str(Path(sterntwist.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_DIV_SWEEPS],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def _block_at(record, e, points):
@@ -517,10 +547,10 @@ def test_conjecture_ab_failures_walk_the_points(monkeypatch):
 
 
 #: Runs every range builder over s and t in a fresh interpreter and prints
-#: the results with the sizes of the point-lookup memos afterwards.
-_FRESH_RANGE_BUILDERS = """
+#: the results with the number of point lookups they made.
+_FRESH_RANGE_BUILDERS = _COUNT_POINT_LOOKUPS + """
 import json
-from sterntwist import regularity, sequences, series, verify
+from sterntwist import regularity, series, verify
 out = {
     "stern": series.stern_series(700).coeffs,
     "twisted": series.twisted_series(700).coeffs,
@@ -529,7 +559,7 @@ out = {
     "u": verify.gen_quotient_series(400).coeffs,
     "gen": verify.check_conjecture_gen(5, 400).to_json(),
     "ab": verify.check_conjecture_ab(5, 400).to_json(),
-    "memo": [len(sequences._STERN.values), len(sequences._TWISTED.values)],
+    "point_lookups": len(calls),
 }
 print(json.dumps(out))
 """
@@ -543,7 +573,7 @@ def test_range_builders_read_tables_and_match_point_lookups():
     )
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
-    assert got["memo"] == [0, 0]
+    assert got["point_lookups"] == 0
 
     def series_of(values):
         return TruncatedSeries.from_coeffs(list(values))
