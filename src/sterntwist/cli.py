@@ -14,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .config import DEFAULTS, ORDER_ENV_VAR
+from .config import MAX_E, ORDER_ENV_VAR, TRUNCATION_ORDER
 from . import ratwords, regularity, verify
-from .sequences import MAX_TABLE, stern, twisted, weighted_even, weighted_stern
+from .sequences import MAX_TABLE, Frozen, stern, twisted, weighted_even, weighted_stern
 from .series import (
     carlitz_series,
     psi,
@@ -36,13 +35,22 @@ class BFileFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(Frozen):
     """Parsed OEIS-style b-file: `index value` lines, strictly increasing
-    indices, # comments allowed."""
+    indices, # comments allowed.  Immutable; equal when id and entries are."""
 
-    oeis_id: str | None
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("oeis_id", "entries")
+
+    def __init__(self, oeis_id: str | None, entries: tuple[tuple[int, int], ...]):
+        self._set_fields(oeis_id, entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, BFile):
+            return NotImplemented
+        return (self.oeis_id, self.entries) == (other.oeis_id, other.entries)
+
+    def __hash__(self):
+        return hash((self.oeis_id, self.entries))
 
 
 def parse_bfile(text: str, oeis_id: str | None = None) -> BFile:
@@ -109,7 +117,7 @@ def _default_order() -> int:
     is not a natural number raises ValueError."""
     env = os.environ.get(ORDER_ENV_VAR)
     if env is None:
-        return DEFAULTS.truncation_order
+        return TRUNCATION_ORDER
     try:
         value = int(env)
         if value < 0:
@@ -330,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=list(verify.SUITES), default="all")
-    p.add_argument("--max-e", dest="max_e", type=int, default=DEFAULTS.max_e)
+    p.add_argument("--max-e", dest="max_e", type=int, default=MAX_E)
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["table", "json"], default="table")

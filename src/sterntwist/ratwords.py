@@ -8,10 +8,9 @@ either all integers or all integer polynomials in the weight variable w.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
-from .sequences import W, ZERO_W, WeightPolynomial
+from .sequences import W, ZERO_W, Frozen, WeightPolynomial
 
 
 def _row_times_matrix(row, matrix, zero):
@@ -49,15 +48,23 @@ def _entry_json(x):
     return str(x)
 
 
-@dataclass(frozen=True)
-class LinearRepresentation:
+class LinearRepresentation(Frozen):
     """(init, trans, final) with integer or w-polynomial entries; trans[letter]
     is a square matrix and the value of a word is
     init . trans(d_1) ... trans(d_m) . final."""
 
-    init: tuple
-    trans: tuple
-    final: tuple
+    __slots__ = ("init", "trans", "final")
+
+    def __init__(self, init: tuple, trans: tuple, final: tuple):
+        m = len(init)
+        if len(final) != m:
+            raise ValueError("init and final vectors must have equal length")
+        if not trans:
+            raise ValueError("need at least one letter")
+        for matrix in trans:
+            if len(matrix) != m or any(len(row) != m for row in matrix):
+                raise ValueError("transition matrices must be square of the state count")
+        self._set_fields(init, trans, final)
 
     @classmethod
     def of(cls, init, trans, final) -> "LinearRepresentation":
@@ -72,16 +79,6 @@ class LinearRepresentation:
             tuple(tuple(tuple(map(lift, row)) for row in matrix) for matrix in trans),
             tuple(map(lift, final)),
         )
-
-    def __post_init__(self):
-        m = len(self.init)
-        if len(self.final) != m:
-            raise ValueError("init and final vectors must have equal length")
-        if not self.trans:
-            raise ValueError("need at least one letter")
-        for matrix in self.trans:
-            if len(matrix) != m or any(len(row) != m for row in matrix):
-                raise ValueError("transition matrices must be square of the state count")
 
     @property
     def states(self) -> int:

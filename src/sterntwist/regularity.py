@@ -9,11 +9,10 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import index
 
-from .sequences import Kind
+from .sequences import Frozen, Kind
 from .series import (
     DensePolynomial,
     InternalCheckError,
@@ -31,8 +30,7 @@ def expand_rational(num: DensePolynomial, den: DensePolynomial, order: int) -> T
     return div_exact(num.to_series(order), den.to_series(order))
 
 
-@dataclass(frozen=True)
-class AffineSystem:
+class AffineSystem(Frozen):
     """System U_i = A_i + L_i(U_1(z^k), ..., U_d(z^k)).
 
     forms[i][j] is the z-polynomial coefficient of the j-th unknown inside
@@ -41,10 +39,28 @@ class AffineSystem:
     satisfy the equations modulo z.
     """
 
-    k: int
-    terms: tuple[TruncatedSeries, ...]
-    forms: tuple[tuple[tuple, ...], ...]
-    constants: tuple
+    __slots__ = ("k", "terms", "forms", "constants")
+
+    def __init__(self, k: int, terms: tuple[TruncatedSeries, ...],
+                 forms: tuple[tuple[tuple, ...], ...], constants: tuple):
+        d = len(terms)
+        if k < 2:
+            raise ValueError("base k must be at least 2")
+        if len(forms) != d or any(len(row) != d for row in forms):
+            raise ValueError("linear-form matrix must be d x d")
+        if len(constants) != d:
+            raise ValueError("need one pinned constant per unknown")
+        for i in range(d):
+            acc = terms[i].coeff(0)
+            for j in range(d):
+                poly = forms[i][j]
+                if poly and poly[0]:
+                    acc = acc + poly[0] * constants[j]
+            if acc != constants[i]:
+                raise ValueError(
+                    f"constant {i} is inconsistent with the equations modulo z"
+                )
+        self._set_fields(k, terms, forms, constants)
 
     @classmethod
     def of(cls, k: int, terms, forms, constants) -> "AffineSystem":
@@ -53,25 +69,6 @@ class AffineSystem:
             raise ValueError("a system needs at least one equation")
         int_forms = tuple(tuple(tuple(map(index, poly)) for poly in row) for row in forms)
         return cls(k, terms, int_forms, tuple(map(index, constants)))
-
-    def __post_init__(self):
-        d = len(self.terms)
-        if self.k < 2:
-            raise ValueError("base k must be at least 2")
-        if len(self.forms) != d or any(len(row) != d for row in self.forms):
-            raise ValueError("linear-form matrix must be d x d")
-        if len(self.constants) != d:
-            raise ValueError("need one pinned constant per unknown")
-        for i in range(d):
-            acc = self.terms[i].coeff(0)
-            for j in range(d):
-                poly = self.forms[i][j]
-                if poly and poly[0]:
-                    acc = acc + poly[0] * self.constants[j]
-            if acc != self.constants[i]:
-                raise ValueError(
-                    f"constant {i} is inconsistent with the equations modulo z"
-                )
 
     @property
     def d(self) -> int:
@@ -290,8 +287,7 @@ def exact_rank(rows) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class KernelProbeReport:
+class KernelProbeReport(Frozen):
     """Ranks of the span of base-k sections, depth by depth.
 
     Prefix ranks only lower-bound the kernel dimension, so the same probe
@@ -299,22 +295,18 @@ class KernelProbeReport:
     the depths both can reach.  Evidence, never proof.
     """
 
-    target: str
-    k: int
-    order: int
-    depth: int
-    ranks: tuple[int, ...]
-    ranks_half_order: tuple[int, ...]
-    stable: bool
+    __slots__ = ("target", "k", "order", "depth", "ranks", "ranks_half_order", "stable")
 
-    def __post_init__(self):
+    def __init__(self, target: str, k: int, order: int, depth: int,
+                 ranks: tuple[int, ...], ranks_half_order: tuple[int, ...], stable: bool):
         sections = 0
-        for d, r in enumerate(self.ranks):
-            sections += self.k**d
+        for d, r in enumerate(ranks):
+            sections += k**d
             if r > sections:
                 raise InternalCheckError("rank exceeds the number of probed sections")
-        if any(a > b for a, b in zip(self.ranks, self.ranks[1:])):
+        if any(a > b for a, b in zip(ranks, ranks[1:])):
             raise InternalCheckError("rank sequence decreased with depth")
+        self._set_fields(target, k, order, depth, ranks, ranks_half_order, stable)
 
     def to_json_dict(self) -> dict:
         return {

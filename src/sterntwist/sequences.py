@@ -9,13 +9,12 @@ the routes can be played against each other in tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
 from operator import add, index, neg
 from typing import ClassVar
 
-from .config import DEFAULTS
+from .config import ENUMERATION_GUARD_BITS
 
 
 class Kind(Enum):
@@ -32,7 +31,35 @@ class InputTooLargeError(ValueError):
 MAX_TABLE = 1 << 21
 
 
-@dataclass
+class Frozen:
+    """Base of the package's immutable classes.  Each sets its fields once,
+    in `__init__`, through `object.__setattr__` (`_set_fields`, except in
+    the hot one-field constructors of IntPolynomial and TruncatedSeries);
+    assigning or deleting an attribute afterwards raises AttributeError.
+    `__setstate__` sets the fields the same way, so instances still pickle
+    and copy."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable "
+                             f"{type(self).__name__}")
+
+    def _set_fields(self, *values) -> None:
+        """Set the fields named by the class's __slots__, in that order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        _, fields = state  # (no __dict__, slot values), as pickle saves slots
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
 class SequenceCache:
     """Point lookups of one of the two diatomic recursions.
 
@@ -45,10 +72,14 @@ class SequenceCache:
     the prefix tables below are the one store of both sequences.
     """
 
-    kind: Kind
-    # Always empty.  Kept, with the class, because perfbench/tracer.py
-    # rebinds `SequenceCache.value` and reads len(cache.values) on each call.
-    values: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("kind", "values")
+
+    def __init__(self, kind: Kind):
+        self.kind = kind
+        # Always empty.  Kept, with the class, because perfbench/tracer.py
+        # rebinds `SequenceCache.value` and reads len(cache.values) on each
+        # call.
+        self.values: dict[int, int] = {}
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -117,14 +148,25 @@ def prefix(kind: Kind, length: int) -> list[int]:
     return table
 
 
-@dataclass(frozen=True)
-class BinaryWord:
+class BinaryWord(Frozen):
     """Binary digits of a natural number, most significant first.
 
-    No leading zero is ever stored except for the word of 0 itself.
+    No leading zero is ever stored except for the word of 0 itself.  Words
+    are equal when their digits are.
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: tuple[int, ...]):
+        self._set_fields(bits)
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryWord):
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash(self.bits)
 
     @classmethod
     def of(cls, n: int) -> "BinaryWord":
@@ -183,7 +225,7 @@ def _digit_positions(n: int) -> tuple[list[int], list[int]]:
 
 
 def enumerate_admissible(
-    n: int, guard_bits: int = DEFAULTS.enumeration_guard_bits
+    n: int, guard_bits: int = ENUMERATION_GUARD_BITS
 ) -> list[tuple[int, ...]]:
     """Every set of binary digit positions of n whose extracted word lies in
     1(01)*.  Each set is a tuple of bit positions, most significant first.
@@ -230,8 +272,15 @@ def _schoolbook_mul(a, b, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+def _trimmed(c: tuple) -> tuple:
+    """c without its trailing zeros; (0,) if nothing is left."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end] or (0,)
+
+
+class IntPolynomial(Frozen):
     """Integer polynomial in the variable `var`; coeffs[k] is the coefficient
     of var^k, and the last one is nonzero unless the polynomial is zero.
 
@@ -241,15 +290,19 @@ class IntPolynomial:
     integer raises TypeError.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
     var: ClassVar[str]
 
-    def __post_init__(self):
-        c = tuple(map(index, self.coeffs))
-        end = len(c)
-        while end > 1 and c[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", c[:end] or (0,))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", _trimmed(tuple(map(index, coeffs))))
+
+    @classmethod
+    def _of_ints(cls, c: tuple):
+        """The polynomial of `c`, a tuple of ints: the constructor without
+        its integer check, for results that are ints by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", _trimmed(c))
+        return self
 
     @property
     def degree(self) -> int:
@@ -279,12 +332,12 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return type(self)(tuple(out))
+        return self._of_ints(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
+        return self._of_ints(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -303,7 +356,7 @@ class IntPolynomial:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return type(self)(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2)))
+        return self._of_ints(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
@@ -329,16 +382,20 @@ class IntPolynomial:
         """Multiply by var^k."""
         if k < 0:
             raise ValueError("shift exponent must be a natural number")
-        return type(self)((0,) * k + self.coeffs)
+        return self._of_ints((0,) * k + self.coeffs)
 
     def __str__(self) -> str:
         return render_coeffs(self.coeffs, self.var)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
 
 
 class WeightPolynomial(IntPolynomial):
     """Integer polynomial in w; coeffs[k] is the coefficient of w^k.  Its
     products stay schoolbook: S and S_e have small degree and coefficients."""
 
+    __slots__ = ()
     var = "w"
     # Bound in this class too: perfbench/tracer.py wraps the methods found
     # in a class's own __dict__.
@@ -381,7 +438,7 @@ def _weighted_pair(n: int) -> tuple[WeightPolynomial, WeightPolynomial]:
             s = [a + b for a, b in zip_longest(s, se, fillvalue=0)]
         else:
             se = [a + b for a, b in zip_longest([0] + s, se, fillvalue=0)]
-    return WeightPolynomial(tuple(s)), WeightPolynomial(tuple(se))
+    return WeightPolynomial._of_ints(tuple(s)), WeightPolynomial._of_ints(tuple(se))
 
 
 def weighted_stern(n: int) -> WeightPolynomial:
@@ -444,7 +501,7 @@ def weighted_stern_alt(n: int) -> WeightPolynomial:
 
 
 def weighted_count_direct(
-    n: int, guard_bits: int = DEFAULTS.enumeration_guard_bits
+    n: int, guard_bits: int = ENUMERATION_GUARD_BITS
 ) -> tuple[WeightPolynomial, WeightPolynomial]:
     """(S(n), S_e(n)) by walking every qualifying subsequence explicitly.
 

@@ -8,10 +8,11 @@ prefix, so a result can never silently claim more precision than it has.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from operator import index
 
 from .sequences import (
+    MAX_TABLE,
+    Frozen,
     IntPolynomial,
     Kind,
     _schoolbook_mul,
@@ -40,7 +41,7 @@ class InternalCheckError(RuntimeError):
 # O(n log n), in a context with prec = MAX_PREC, Emax = MAX_EMAX and Inexact
 # and Rounded trapped: the product is exact or an exception, never rounded.
 # Without libmpdec (a `decimal` that is not the C build) the int route runs at
-# every length.  Importing `decimal` takes about 1 ms (CPython 3.11).
+# every length.  Importing `decimal` takes about 2.3 ms (CPython 3.11.7).
 # Division by a dense series with a +-1 lead to n+1 coefficients inverts the
 # denominator by Newton only to h = ceil((n+1)/2) coefficients, on the
 # top-down precisions ceil((n+1)/2^i), and gets the upper half of the quotient
@@ -215,12 +216,15 @@ def _padded(cs: tuple, order: int) -> tuple:
     return cs[: order + 1] + (0,) * (order + 1 - len(cs))
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Integer coefficients 0..order of a formal power series; coefficients
-    beyond `order` are unknown and never invented."""
+    beyond `order` are unknown and never invented.  The constructor trusts
+    its tuple; `from_coeffs` checks that every coefficient is an integer."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None):
@@ -310,6 +314,9 @@ class TruncatedSeries:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     def to_text(self) -> str:
         return render_coeffs(self.coeffs, "z")
@@ -431,6 +438,7 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 class DensePolynomial(IntPolynomial):
     """Dense integer polynomial in z; products go through the series kernel."""
 
+    __slots__ = ()
     var = "z"
 
     @property
@@ -442,14 +450,14 @@ class DensePolynomial(IntPolynomial):
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return DensePolynomial(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2)))
+        return DensePolynomial._of_ints(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("polynomial powers need a natural exponent")
-        result = DensePolynomial((1,))
+        result = DensePolynomial._of_ints((1,))
         base = self
         e = exponent
         while e:
@@ -461,8 +469,9 @@ class DensePolynomial(IntPolynomial):
 
     def derivative(self) -> "DensePolynomial":
         if self.degree == 0:
-            return DensePolynomial((0,))
-        return DensePolynomial(tuple(i * self.coeffs[i] for i in range(1, self.degree + 1)))
+            return DensePolynomial._of_ints((0,))
+        c = self.coeffs
+        return DensePolynomial._of_ints(tuple(i * c[i] for i in range(1, len(c))))
 
     def substitute_power(self, k: int) -> "DensePolynomial":
         """z -> z^k."""
@@ -471,7 +480,7 @@ class DensePolynomial(IntPolynomial):
         out = [0] * (self.degree * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
-        return DensePolynomial(tuple(out))
+        return DensePolynomial._of_ints(tuple(out))
 
     def to_series(self, order: int) -> TruncatedSeries:
         return TruncatedSeries(_padded(self.coeffs, order))
@@ -536,11 +545,20 @@ def _minus_trinomial(i: int) -> DensePolynomial:
     return DensePolynomial(tuple(out))
 
 
+#: Largest e that psi takes: its window reads the first 6*2^e + 1 entries
+#: of t, and the tables hold at most MAX_TABLE.
+MAX_PSI_E = ((MAX_TABLE - 1) // 6).bit_length() - 1
+
+
 def psi_from_twisted(e: int) -> DensePolynomial:
     """The sign-corrected window of twisted values over [3*2^e, 6*2^e],
-    read as a polynomial."""
+    read as a polynomial; an e past MAX_PSI_E raises ValueError before the
+    table grows."""
     if e < 0:
         raise ValueError("e must be a natural number")
+    if e > MAX_PSI_E:
+        raise ValueError(f"e must be at most {MAX_PSI_E} (psi_e reads t up to "
+                         f"6*2^e; tables are capped at {MAX_TABLE} entries)")
     m = 3 << e
     window = window_series(Kind.TWISTED, m, 2 * m + 1)
     return DensePolynomial((-window if e % 2 else window).coeffs)

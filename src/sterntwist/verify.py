@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, and_, mul, sub
 from typing import Callable
 
 from .columns import Column, Reader, Span, column_reader
-from .sequences import MAX_TABLE, Kind, prefix, stern, twisted
+from .sequences import MAX_TABLE, Frozen, Kind, prefix, stern, twisted
 from .series import (
     DivisionError,
     TruncatedSeries,
@@ -67,19 +66,17 @@ SUSPECTED_TYPO = "suspected-typo"
 CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Frozen):
     """One catalogued identity: closed forms, the parameter range it was
     stated for, and the statement as printed (kept verbatim even when the
     sweep shows it wrong, in which case status says so)."""
 
-    identity: str
-    lhs: Side
-    rhs: Side
-    n_range: Callable[[int], tuple[int, int]]
-    anchor: str
-    e_min: int = 0
-    status: str = AS_PRINTED
+    __slots__ = ("identity", "lhs", "rhs", "n_range", "anchor", "e_min", "status")
+
+    def __init__(self, identity: str, lhs: Side, rhs: Side,
+                 n_range: Callable[[int], tuple[int, int]], anchor: str,
+                 e_min: int = 0, status: str = AS_PRINTED):
+        self._set_fields(identity, lhs, rhs, n_range, anchor, e_min, status)
 
 
 def _half_pow(e: int) -> int:
@@ -255,16 +252,20 @@ _register(IdentityRecord(
 MAX_COUNTEREXAMPLES = 10
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    params: str
-    passes: int = 0
-    failures: int = 0
-    counterexamples: list = field(default_factory=list)
-    scanned: dict | None = None
-    conjecture: bool = False
-    status: str = AS_PRINTED
+    """What one check found: points passed and failed, the first
+    MAX_COUNTEREXAMPLES counterexamples, and a scan's ranges."""
+
+    __slots__ = ("identity", "params", "passes", "failures", "counterexamples",
+                 "scanned", "conjecture", "status")
+
+    def __init__(self, identity: str, params: str, passes: int = 0, failures: int = 0,
+                 counterexamples: list | None = None, scanned: dict | None = None,
+                 conjecture: bool = False, status: str = AS_PRINTED):
+        self.identity, self.params = identity, params
+        self.passes, self.failures = passes, failures
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.scanned, self.conjecture, self.status = scanned, conjecture, status
 
     @property
     def ok(self) -> bool:

@@ -174,11 +174,14 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_verify_jobs_do_not_change_output(capsys):
-    serial = ["verify", "--suite", "identities", "--max-e", "4", "--format", "json"]
-    parallel = serial + ["--jobs", "2"]
-    _, expected = invoke(capsys, serial)
-    _, got = invoke(capsys, parallel)
-    assert got == expected
+    # the reports come back from the pool's workers pickled, counterexamples
+    # and all
+    for fmt, shown in (("table", "first-counterexample="), ("json", '"counterexamples": [[')):
+        argv = ["verify", "--suite", "identities", "--max-e", "13", "--format", fmt]
+        serial = invoke(capsys, argv + ["--jobs", "1"])
+        parallel = invoke(capsys, argv + ["--jobs", "2"])
+        assert serial[0] == 0 and shown in serial[1]
+        assert parallel == serial
 
 
 def test_scan(capsys):
@@ -339,6 +342,20 @@ def test_bad_argv_exits_2(capsys, argv):
     assert [len(table) for table in _PREFIXES.values()] == before
 
 
+def test_psi_past_its_largest_e_names_it(capsys):
+    # the window of psi_e reads t up to 6*2^e, so 18 is the largest e whose
+    # reads fit in the tables
+    assert series.MAX_PSI_E == 18
+    assert (6 << series.MAX_PSI_E) + 1 <= MAX_TABLE < (6 << (series.MAX_PSI_E + 1)) + 1
+    before = [len(table) for table in _PREFIXES.values()]
+    for e in (series.MAX_PSI_E + 1, 40):
+        code = run(["series", "--name", "psi", "--e", str(e)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("series: e must be at most 18 ")
+    assert [len(table) for table in _PREFIXES.values()] == before
+
+
 def test_caps_sit_at_their_bounds(capsys, monkeypatch):
     # a range of MAX_TABLE values still runs, and so does every
     # order-taking command at MAX_ORDER - 1: its widest read stays inside
@@ -490,13 +507,20 @@ def test_exit_code_contract(argv):
         assert any("FAIL" in line for line in out.splitlines()), (argv, out)
 
 
-def test_cli_import_loads_no_fractions():
+def test_cli_import_loads_no_unneeded_modules():
     # series are integer-only, so nothing on the CLI's import path needs
-    # rational arithmetic
+    # rational arithmetic; the classes are plain slotted ones, so neither
+    # dataclasses nor the inspect it pulls in is needed.  -S keeps the
+    # imports of `site` out, which could load or hide any of them.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sterntwist.cli; "
+            "print(sterntwist.cli.__file__); "
+            "print(sorted({'fractions', 'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, sterntwist.cli; print('fractions' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-S", "-c", code, src],
+        capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    path, loaded = done.stdout.splitlines()
+    assert path.startswith(src)
+    assert loaded == "[]"
