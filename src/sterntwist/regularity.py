@@ -9,8 +9,8 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
-from operator import index
+from itertools import accumulate, repeat
+from operator import add, index, mul
 
 from .sequences import Frozen, Kind
 from .series import (
@@ -90,14 +90,9 @@ def _apply_form(row, subs, order: int) -> list[int]:
     """Evaluate one linear form on already-substituted unknowns."""
     out = [0] * (order + 1)
     for poly, sub in zip(row, subs):
-        for m, c in enumerate(poly):
-            if not c:
-                continue
-            sc = sub.coeffs
-            for n in range(m, order + 1):
-                x = sc[n - m]
-                if x:
-                    out[n] += c * x
+        for m, c in enumerate(poly[: order + 1]):
+            if c:
+                out[m:] = map(add, out[m:], map(mul, sub.coeffs, repeat(c)))
     return out
 
 
@@ -105,9 +100,11 @@ def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSerie
     """Unique solution, truncated at `order`, by fixed-point iteration from
     the pinned constants.
 
-    Each round fixes every coefficient below the next power of k, so
-    floor(log_k order)+1 rounds settle the whole prefix; one extra round is
-    run and must be a no-op, otherwise something is deeply wrong.
+    Coefficient n of a round reads coefficients up to n/k of the last one,
+    so a round on a prefix settled through p settles it through k(p+1)-1
+    (substitute_power refuses more).  The rounds run on those prefixes up
+    to `order`; one extra round at full order must be a no-op, otherwise
+    something is deeply wrong.
     """
     if order < 0:
         raise ValueError("order must be a natural number")
@@ -115,27 +112,21 @@ def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSerie
         if a.order < order:
             raise ValueError("inhomogeneous terms carry insufficient order")
     k = system.k
-    terms = [a.truncate(order) for a in system.terms]
-    current = [TruncatedSeries.constant(c, order) for c in system.constants]
 
-    def step(vec: list[TruncatedSeries]) -> list[TruncatedSeries]:
-        subs = [substitute_power(u, k, order) if order else u for u in vec]
-        out = []
-        for i in range(system.d):
-            coeffs = _apply_form(system.forms[i], subs, order)
-            base = terms[i].coeffs
-            out.append(TruncatedSeries(tuple(base[n] + coeffs[n] for n in range(order + 1))))
-        return out
+    def step(vec: list[TruncatedSeries], n: int) -> list[TruncatedSeries]:
+        subs = [substitute_power(u, k, n) for u in vec]
+        return [TruncatedSeries(tuple(map(add, a.coeffs[: n + 1], _apply_form(row, subs, n))))
+                for a, row in zip(system.terms, system.forms)]
 
-    rounds = 1
-    while k**rounds <= order:
-        rounds += 1
-    for _ in range(rounds):
-        current = step(current)
-    settled = step(current)
-    if any(s.coeffs != c.coeffs for s, c in zip(settled, current)):
+    current = [TruncatedSeries.constant(c, 0) for c in system.constants]
+    settled = 0
+    while settled < order:
+        settled = min(k * (settled + 1) - 1, order)
+        current = step(current, settled)
+    final = step(current, order)
+    if any(f.coeffs != c.coeffs for f, c in zip(final, current)):
         raise InternalCheckError("fixed-point iteration failed to stabilise")
-    return settled
+    return final
 
 
 def degree_reduce(system: AffineSystem) -> AffineSystem:
@@ -251,26 +242,24 @@ def exact_rank(rows) -> int:
     """Rank over the rationals of an integer matrix by fraction-free
     elimination: Bareiss one-step elimination keeps every intermediate
     entry an exact minor.
+
+    Repeated rows and zero rows leave the rank unchanged, so they are
+    dropped before the elimination, and rows that a pivot turns to zero
+    are dropped after it.
     """
-    mat = [list(map(index, row)) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    mat = [list(row) for row in dict.fromkeys(tuple(map(index, row)) for row in rows) if any(row)]
+    ncols = len(mat[0]) if mat else 0
     rank = 0
     prev = 1
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         piv = mat[rank][col]
         prow = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            rrow = mat[r]
+        kept = mat[: rank + 1]
+        for rrow in mat[rank + 1 :]:
             factor = rrow[col]
             # even factor-0 rows get scaled by the pivot: Bareiss needs it
             # for the later division by `prev` to stay exact
@@ -280,6 +269,9 @@ def exact_rank(rows) -> int:
                 if rem:
                     raise InternalCheckError("fraction-free elimination lost exactness")
                 rrow[c] = q
+            if any(rrow):
+                kept.append(rrow)
+        mat = kept
         prev = piv
         rank += 1
         if rank == len(mat):
@@ -327,11 +319,7 @@ def _section_ranks(values, k: int, depth: int, order: int) -> list[int]:
     ranks = []
     for d in range(depth + 1):
         length = order // k**d
-        rows = []
-        for j in range(d + 1):
-            step = k**j
-            for r in range(step):
-                rows.append([values[r + i * step] for i in range(length)])
+        rows = [values[r : r + length * k**j : k**j] for j in range(d + 1) for r in range(k**j)]
         ranks.append(exact_rank(rows))
     return ranks
 

@@ -8,10 +8,10 @@ the routes can be played against each other in tests.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
-from itertools import zip_longest
-from operator import add, index, neg
+from itertools import compress, zip_longest
+from operator import add, index, itemgetter, neg
 from typing import ClassVar
 
 from .config import ENUMERATION_GUARD_BITS
@@ -261,14 +261,22 @@ def enumerate_admissible(
 
 
 def _schoolbook_mul(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b.  The outer loop runs over `a` and skips its
-    zeros, so the sparser operand goes first."""
+    """Coefficients 0..n of a*b, over the nonzero terms of both operands;
+    the sparser one goes first, as `a`.  A `b` with zeros has its nonzero
+    terms listed once; a dense `b`, as in most small products, is not."""
     out = [0] * (n + 1)
+    b = b[: n + 1]
+    if 0 not in b:
+        for i, ci in enumerate(a[: n + 1]):
+            if ci:
+                for j, cj in enumerate(b[: n + 1 - i], i):
+                    out[j] += ci * cj
+        return out
+    terms = list(compress(enumerate(b), b))
     for i, ci in enumerate(a[: n + 1]):
         if ci:
-            for j, cj in enumerate(b[: n + 1 - i], i):
-                if cj:
-                    out[j] += ci * cj
+            for j, cj in terms[: bisect_right(terms, n - i, key=itemgetter(0))]:
+                out[i + j] += ci * cj
     return out
 
 

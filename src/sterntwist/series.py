@@ -8,7 +8,9 @@ prefix, so a result can never silently claim more precision than it has.
 from __future__ import annotations
 
 import decimal
-from operator import index
+import struct
+from itertools import repeat
+from operator import add, index, itemgetter, mul, neg, sub
 
 from .sequences import (
     MAX_TABLE,
@@ -111,9 +113,8 @@ def _kron_mul(a, b, n: int) -> list[int]:
     total = width * (n + 1)
     product = pack(a) * pack(b) + int.from_bytes(half_bytes * (n + 1), "little")
     data = (product & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") - half for i in range(0, total, width)
-    ]
+    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", data))
+    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
 
 
 def _decimal_mul(a, b, n: int) -> list[int]:
@@ -144,8 +145,9 @@ def _decimal_mul(a, b, n: int) -> list[int]:
     offset = decimal.Decimal("1" + "0" * (width * (top - n - 1)) + half_digits * (n + 1))
     with decimal.localcontext(_EXACT):
         digits = str(pack(a) * pack(b) + offset)
-    end = len(digits)
-    return [int(digits[i - width : i]) - half for i in range(end, end - width * (n + 1), -width)]
+    tail = digits[len(digits) - width * (n + 1) :].encode()
+    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", tail))
+    return list(map(sub, map(int, slots), repeat(half)))[::-1]
 
 
 def _mul_coeffs(a, b, n: int) -> list[int]:
@@ -180,7 +182,7 @@ def _inverse(d, n: int) -> list[int]:
     k = 1
     for k2 in reversed(lengths[:-1]):
         # d*g = 1 + z^k * e modulo z^{k2}; the correction is -g*e, placed at z^k
-        e = [-c for c in _mul_coeffs(d[:k2], g, k2 - 1)[k:]]
+        e = list(map(neg, _mul_coeffs(d[:k2], g, k2 - 1)[k:]))
         g += _mul_coeffs(g, e, k2 - k - 1)
         k = k2
     return g
@@ -203,7 +205,7 @@ def _quotients(nums, d, n: int) -> list[list[int]]:
         q = _mul_coeffs(m, g, h - 1)
         if n >= h:
             dq = _mul_coeffs(d, q, n)
-            r = [m[i] - dq[i] for i in range(h, n + 1)]
+            r = list(map(sub, m[h : n + 1], dq[h:]))
             q += _mul_coeffs(g, r, n - h)
         out.append(q)
     return out
@@ -283,19 +285,18 @@ class TruncatedSeries(Frozen):
         return min(self.order, other.order)
 
     def __add__(self, other):
-        n = self._binop_check(other)
-        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        self._binop_check(other)
+        return TruncatedSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        n = self._binop_check(other)
-        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        self._binop_check(other)
+        return TruncatedSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return TruncatedSeries(tuple(map(neg, self.coeffs)))
 
     def scale(self, c) -> "TruncatedSeries":
-        c = index(c)
-        return TruncatedSeries(tuple(c * x for x in self.coeffs))
+        return TruncatedSeries(tuple(map(mul, self.coeffs, repeat(index(c)))))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -309,8 +310,8 @@ class TruncatedSeries(Frozen):
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+        n = min(len(self.coeffs), len(other.coeffs))
+        return self.coeffs[:n] == other.coeffs[:n]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -384,10 +385,8 @@ def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> Tr
     if order > known:
         raise ValueError(f"a(z^{k}) is only determined to order {known}")
     out = [0] * (order + 1)
-    for i, c in enumerate(a.coeffs):
-        if i * k > order:
-            break
-        out[i * k] = c
+    cs = a.coeffs[: order // k + 1]
+    out[: len(cs) * k : k] = cs
     return TruncatedSeries(tuple(out))
 
 
@@ -395,7 +394,7 @@ def derivative(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise derivative; the order drops by one."""
     if a.order < 1:
         raise ValueError("derivative needs order at least 1")
-    return TruncatedSeries(tuple(i * a.coeffs[i] for i in range(1, a.order + 1)))
+    return TruncatedSeries(tuple(map(mul, range(1, a.order + 1), a.coeffs[1:])))
 
 
 def log_derivative(a: TruncatedSeries, strip_valuation: bool = False) -> TruncatedSeries:
@@ -426,8 +425,7 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
         raise ValueError(f"section index must satisfy 0 <= r < {k}")
     if a.order < r:
         raise ValueError("order too small for this section")
-    n_out = (a.order - r) // k
-    return TruncatedSeries(tuple(a.coeffs[r + i * k] for i in range(n_out + 1)))
+    return TruncatedSeries(a.coeffs[r::k])
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +476,7 @@ class DensePolynomial(IntPolynomial):
         if k < 1:
             raise ValueError("substitution exponent must be positive")
         out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         return DensePolynomial._of_ints(tuple(out))
 
     def to_series(self, order: int) -> TruncatedSeries:

@@ -737,6 +737,9 @@ def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
         raise ValueError("e_max must be a natural number")
     if order < 3 << e_max:
         raise ValueError("order must be at least 3*2^e_max")
+    if order < len(EXPECTED_GEN_QUOTIENT) - 1:
+        raise ValueError(f"order must be at least {len(EXPECTED_GEN_QUOTIENT) - 1} "
+                         "to check the leading coefficients of u")
     report = VerificationReport(
         "CONJ-GEN", params=f"e <= {e_max}, order {order}", conjecture=True
     )
@@ -765,6 +768,10 @@ def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
         raise ValueError("e_max must be a natural number")
     if order < 2 << e_max:
         raise ValueError("order must be at least 2^(e_max+1)")
+    least = max(len(EXPECTED_AB_A), len(EXPECTED_AB_B)) - 1
+    if order < least:
+        raise ValueError(f"order must be at least {least} "
+                         "to check the leading coefficients of A and B")
     report = VerificationReport(
         "CONJ-AB", params=f"e <= {e_max}, order {order}", conjecture=True
     )

@@ -229,6 +229,22 @@ def test_conjecture(capsys):
         assert capsys.readouterr().err == "conjecture: e_max must be a natural number\n"
 
 
+@pytest.mark.parametrize("which, window, least", [("gen", 3, 12), ("ab", 2, 7)])
+@pytest.mark.parametrize("e_max", [0, 1])
+def test_conjecture_below_the_checked_prefix_names_the_least_order(capsys, which, window, least,
+                                                                   e_max):
+    # orders from the window bound window*2^e_max on still miss the leading
+    # quotient coefficients the sweep compares, up to `least`
+    for order in range(window << e_max, least):
+        code = run(["conjecture", "--which", which, "--max-e", str(e_max), "--order", str(order)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"conjecture: order must be at least {least} ")
+    code, out = invoke(capsys, ["conjecture", "--which", which, "--max-e", str(e_max),
+                                "--order", str(least)])
+    assert code == 0 and out
+
+
 def test_count(capsys):
     code, out = invoke(capsys, ["count", "--pattern", "admissible", "--n", "11"])
     assert code == 0 and out.strip() == "5"

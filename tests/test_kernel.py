@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sterntwist.sequences as sequences
 import sterntwist.series as series
 from sterntwist.regularity import AffineSystem, expand_rational, solve_affine_system
 from sterntwist.sequences import stern
@@ -103,6 +104,17 @@ def test_series_mul_matches_schoolbook(a, b):
     n = min(len(a), len(b)) - 1
     assert got.order == n
     assert list(got.coeffs) == schoolbook_mul(a, b, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_seqs(max_len=60), coeff_seqs(max_len=60), st.integers(0, 130))
+@example([0, 3, 0, 0, 5], [2, 0, 0, 0, 0, 7], 6)
+@example([1, 0, 2], [3, 4], 1)
+def test_sparse_schoolbook_matches_the_double_loop(a, b, n):
+    # both routes of the schoolbook loop: over all of a dense `b`, and over
+    # the listed nonzero terms of one with zeros, cut at n
+    assert sequences._schoolbook_mul(a, b, n) == schoolbook_mul(a, b, n)
+    assert sequences._schoolbook_mul(b, a, n) == schoolbook_mul(b, a, n)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sterntwist.regularity as regularity
@@ -98,6 +98,114 @@ def test_degree_reduce_preserves_solution():
     assert solution[0] == baseline
     # the adjoined coordinates are the shifted originals
     assert solution[1] == baseline.shift(1).truncate(64)
+
+
+def _solve_at_full_order(system, order):
+    """The former fixed-point iteration, kept as the oracle: floor(log_k
+    order) + 2 rounds, each computing all order + 1 coefficients of every
+    unknown term by term, U_i[n] = A_i[n] + sum c * U_j[(n - m) / k] over the
+    monomials c*z^m of form (i, j)."""
+    k = system.k
+    rounds = 1
+    while k**rounds <= order:
+        rounds += 1
+    current = [[c] + [0] * order for c in system.constants]
+    for _ in range(rounds + 1):
+        nxt = []
+        for a, row in zip(system.terms, system.forms):
+            out = list(a.coeffs[: order + 1])
+            for poly, u in zip(row, current):
+                for m, c in enumerate(poly):
+                    for q in range(max(order - m, -1) // k + 1):
+                        out[m + q * k] += c * u[q]
+            nxt.append(out)
+        current = nxt
+    return current
+
+
+@st.composite
+def affine_systems(draw):
+    """A consistent system of d unknowns in base k whose forms may reach
+    degree 2k, with its order: the constants are drawn first and A_i(0)
+    is set to satisfy the equations modulo z."""
+    k = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([1, 2]))
+    order = draw(st.integers(0, 300))
+    small = st.integers(-3, 3)
+    forms = [[draw(st.lists(small, max_size=2 * k + 1)) for _ in range(d)] for _ in range(d)]
+    constants = [draw(small) for _ in range(d)]
+    terms = []
+    for i in range(d):
+        tail = draw(st.lists(small, min_size=order + 1, max_size=order + 1))
+        tail[0] = constants[i] - sum(p[0] * c for p, c in zip(forms[i], constants) if p)
+        terms.append(TruncatedSeries.from_coeffs(tail))
+    return AffineSystem.of(k, terms, forms, constants), order
+
+
+@settings(max_examples=80, deadline=None)
+@given(affine_systems())
+@example((AffineSystem.of(2, [TruncatedSeries.one(0)], [[(0, 2)]], [1]), 0))
+def test_prefix_rounds_match_the_full_order_iteration(case):
+    system, order = case
+    computed = []
+    apply_form = regularity._apply_form
+
+    def counted(row, subs, n):
+        computed.append(n + 1)
+        return apply_form(row, subs, n)
+
+    want = _solve_at_full_order(system, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_apply_form", counted)
+        got = solve_affine_system(system, order)
+    assert [list(u.coeffs) for u in got] == want
+    # the rounds grow k-fold up to order, then one check round at order
+    assert sum(computed) <= 4 * (order + 1) * system.d
+    assert computed[-system.d:] == [order + 1] * system.d
+    assert len(computed) == system.d or computed[-2 * system.d:] == [order + 1] * 2 * system.d
+    reduced = system
+    while reduced.max_form_degree() >= reduced.k:
+        reduced = degree_reduce(reduced)
+    assert [list(u.coeffs) for u in solve_affine_system(reduced, order)[: system.d]] == want
+
+
+def test_solver_takes_no_product_or_division(monkeypatch):
+    # the fixed point is the check on H's division route: it must not
+    # reach the product kernel or the division
+    order = 1024
+    inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), order)
+    system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])
+
+    def refused(*args):
+        raise AssertionError("the fixed-point route reached the product kernel or a division")
+
+    for module, name in [(series, "_mul_coeffs"), (series, "div_exact"),
+                         (series, "div_exact_many"), (regularity, "div_exact")]:
+        monkeypatch.setattr(module, name, refused)
+    assert solve_affine_system(system, order)[0].coeffs[:4] == (1, 3, -2, 7)
+
+
+def _perturbed(a, where):
+    wrong = list(a.coeffs)
+    wrong[int(where * a.order)] += 1
+    return TruncatedSeries(tuple(wrong))
+
+
+@pytest.mark.parametrize("where", [0, 0.5, 1])
+def test_h_series_refuses_a_perturbed_route(monkeypatch, where):
+    order = 256
+    log_derivative_ = regularity.log_derivative
+    solve = regularity.solve_affine_system
+    monkeypatch.setattr(regularity, "log_derivative",
+                        lambda a: _perturbed(log_derivative_(a), where))
+    with pytest.raises(InternalCheckError):
+        h_series(order)
+    monkeypatch.setattr(regularity, "log_derivative", log_derivative_)
+    assert h_series(order).order == order
+    monkeypatch.setattr(regularity, "solve_affine_system",
+                        lambda system, n: [_perturbed(u, where) for u in solve(system, n)])
+    with pytest.raises(InternalCheckError):
+        h_series(order)
 
 
 def test_h_series_prefix_and_agreement():
@@ -222,14 +330,40 @@ def test_exact_rank_small_cases():
     assert exact_rank([]) == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+@st.composite
+def redundant_rows(draw):
+    """A few base rows, then repeats, zero rows, scaled copies and sums of
+    them, shuffled: rows the elimination drops before it starts or after a
+    pivot."""
+    width = draw(st.integers(1, 8))
+    entries = st.integers(-6, 6)
+    base = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1,
+                         max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["repeat", "zero", "scaled", "sum"]))
+        row, other = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        if kind == "repeat":
+            rows.append(list(row))
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "scaled":
+            c = draw(st.integers(-5, 5).filter(bool))
+            rows.append([c * x for x in row])
+        else:
+            rows.append([x + y for x, y in zip(row, other)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
     st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
         min_size=1,
         max_size=6,
-    )
-)
+    ),
+    redundant_rows(),
+))
 def test_exact_rank_matches_fraction_elimination(rows):
     assert exact_rank(rows) == _fraction_rank(rows)
 

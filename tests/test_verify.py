@@ -492,6 +492,16 @@ def test_conjecture_ab():
         check_conjecture_ab(8, 100)
 
 
+def test_conjecture_sweeps_refuse_orders_below_their_checked_prefix():
+    for order in (3, 11):
+        with pytest.raises(ValueError, match="order must be at least 12 "):
+            check_conjecture_gen(0, order)
+    for order in (2, 6):
+        with pytest.raises(ValueError, match="order must be at least 7 "):
+            check_conjecture_ab(0, order)
+    assert check_conjecture_gen(0, 12).ok and check_conjecture_ab(0, 7).ok
+
+
 def _perturbed(series_, index):
     return TruncatedSeries(
         series_.coeffs[:index] + (series_.coeffs[index] + 1,) + series_.coeffs[index + 1:]
