@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from .config import MAX_E, ORDER_ENV_VAR, TRUNCATION_ORDER
 from . import ratwords, regularity, verify
 from .sequences import MAX_TABLE, Frozen, stern, twisted, weighted_even, weighted_stern
 from .series import (
@@ -110,6 +109,18 @@ def _emit_reports(reports, fmt: str) -> None:
     else:
         for r in reports:
             print(r.summary_line())
+
+
+#: Environment variable that overrides TRUNCATION_ORDER; --order wins over
+#: both.
+ORDER_ENV_VAR = "STERNTWIST_ORDER"
+
+#: Truncation order of the series when neither --order nor the environment
+#: gives one.
+TRUNCATION_ORDER = 1024
+
+#: Default --max-e of `verify`.
+MAX_E = 10
 
 
 def _default_order() -> int:

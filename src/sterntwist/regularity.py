@@ -202,9 +202,9 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
 
     B must satisfy B = P'/P + k z^{k-1} B(z^k); the residual is checked
     exactly before returning.  P(0) = 1, so P'/P has integer coefficients.
-    `div_exact` divides by the dense product by Newton, and by P, while P
-    has at most SPARSE_TERMS nonzero tail terms, by the term recurrence:
-    the two sides of the check take independent routes.
+    `div_exact` divides by the dense product by recursive Karp-Markstein,
+    and by P, while P has at most SPARSE_TERMS nonzero tail terms, by the
+    term recurrence: the two sides of the check take independent routes.
     """
     if poly.constant_term != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
@@ -336,8 +336,15 @@ def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelPr
         raise ValueError("base k must be at least 2")
     if depth < 0:
         raise ValueError("depth must be a natural number")
-    if order < k**depth:
-        raise ValueError(f"order must be at least k^depth = {k**depth}")
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    # the deepest probe that fits, found without ever forming k**depth
+    deepest, span = 0, k
+    while span <= order:
+        deepest, span = deepest + 1, span * k
+    if depth > deepest:
+        raise ValueError(f"depth must be at most {deepest}, "
+                         f"since order {order} < {k}^{deepest + 1}")
     values = list(values)
     if len(values) < order:
         raise ValueError(f"need at least {order} coefficient values")

@@ -14,8 +14,6 @@ from itertools import compress, zip_longest
 from operator import add, index, itemgetter, neg
 from typing import ClassVar
 
-from .config import ENUMERATION_GUARD_BITS
-
 
 class Kind(Enum):
     STERN = "stern"
@@ -204,6 +202,11 @@ def count_admissible(n: int) -> int:
         else:
             ending_ten += ending_one
     return ending_one
+
+
+#: Inputs with more binary digits than this are rejected by the explicit
+#: subsequence enumerators.
+ENUMERATION_GUARD_BITS = 24
 
 
 def _check_guard(n: int, guard_bits: int) -> None:

@@ -44,30 +44,31 @@ class InternalCheckError(RuntimeError):
 # and Rounded trapped: the product is exact or an exception, never rounded.
 # Without libmpdec (a `decimal` that is not the C build) the int route runs at
 # every length.  Importing `decimal` takes about 2.3 ms (CPython 3.11.7).
-# Division by a dense series with a +-1 lead to n+1 coefficients inverts the
-# denominator by Newton only to h = ceil((n+1)/2) coefficients, on the
-# top-down precisions ceil((n+1)/2^i), and gets the upper half of the quotient
-# from the remainder the lower half leaves (Karp-Markstein): three products
-# with a half-length operand each instead of a full-length inverse and
-# product.  Both are O(M(n)).  When one operand (or the denominator's
-# tail) has at most SPARSE_TERMS nonzero coefficients, the schoolbook loops
-# are faster and run instead.
+# Division by a dense series with a +-1 lead to n+1 coefficients is recursive
+# Karp-Markstein: the inverse to h = ceil((n+1)/2) coefficients is the
+# quotient of 1 by the denominator one level down, and the upper half of the
+# quotient comes from the remainder the lower half leaves.  Each level makes
+# two dense products with a half-length operand per numerator, on the
+# precisions ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or
+# the denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
+# schoolbook loops are faster and run instead.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
 #: tail) that still takes the schoolbook loops.  Measured against a dense
 #: operand at orders 128-8192, products break even at 24-48 terms; sparse
-#: division stays ahead of Newton well past that, and the denominators in use
-#: have at most two tail terms or are dense.
+#: division stays ahead of the dense route well past that, and the
+#: denominators in use have at most two tail terms or are dense.
 SPARSE_TERMS = 32
 
 #: Shortest length of the shorter dense operand that takes the libmpdec
-#: route.  On the Newton steps of h_series (coefficients of 8-58 bits; 2 vCPUs,
-#: CPython 3.11.7, libmpdec 2.5.1) the libmpdec route took 1.2-1.45x the int
-#: route's time at length 1024, was about even at 2048 (0.96-1.2x as fast),
-#: and was 1.8x as fast at 4096 and 3-3.7x at 8192-16384.  Packing and
-#: reading back cost about the same per coefficient on both routes, so with
-#: coefficients under ~12 bits the break-even moves up to about 4096.
+#: route.  On the division products of h_series (coefficients of 8-58 bits;
+#: 2 vCPUs, CPython 3.11.7, libmpdec 2.5.1) the libmpdec route took
+#: 1.2-1.45x the int route's time at length 1024, was about even at 2048
+#: (0.96-1.2x as fast), and was 1.8x as fast at 4096 and 3-3.7x at
+#: 8192-16384.  Packing and reading back cost about the same per
+#: coefficient on both routes, so with coefficients under ~12 bits the
+#: break-even moves up to about 4096.
 TRANSFORM_LENGTH = 2048
 
 #: Largest coefficient bound, in bits, that the libmpdec route takes.  Its
@@ -167,46 +168,28 @@ def _mul_coeffs(a, b, n: int) -> list[int]:
     return _schoolbook_mul(a, b, n)
 
 
-def _inverse(d, n: int) -> list[int]:
-    """Coefficients 0..n of 1/d for an integer sequence with d[0] = +-1, by
-    Newton iteration g <- g + g(1 - d*g) mod z^{k2}.
-
-    The precisions run top down, k2 = ceil((n+1)/2^i), so each step at most
-    doubles k and the last lands on n+1 exactly: no step computes
-    coefficients that are then thrown away.
-    """
-    lengths = [n + 1]
-    while lengths[-1] > 1:
-        lengths.append((lengths[-1] + 1) // 2)
-    g = [d[0]]
-    k = 1
-    for k2 in reversed(lengths[:-1]):
-        # d*g = 1 + z^k * e modulo z^{k2}; the correction is -g*e, placed at z^k
-        e = list(map(neg, _mul_coeffs(d[:k2], g, k2 - 1)[k:]))
-        g += _mul_coeffs(g, e, k2 - k - 1)
-        k = k2
-    return g
-
-
 def _quotients(nums, d, n: int) -> list[list[int]]:
     """Coefficients 0..n of m/d for each integer sequence m in `nums`, with
-    d[0] = +-1, by Karp-Markstein: d is inverted only to h = ceil((n+1)/2)
-    coefficients, g, and that one inverse serves every numerator.
+    d[0] = +-1, by recursive Karp-Markstein: g = 1/d to h = ceil((n+1)/2)
+    coefficients is itself the quotient of 1 by d, one level down, and that
+    one g serves every numerator.
 
         q0 = m*g mod z^h,  r = (m - d*q0)[h..n],  q = q0 + z^h * (g*r mod z^(n+1-h))
 
     d*q0 agrees with m below z^h, so r is the remainder the low half leaves,
-    and n+1-h <= h coefficients of g divide it.
+    and n+1-h <= h coefficients of g divide it.  The levels run on the
+    precisions ceil((n+1)/2^i) down to n = 0, where q = m[0]*d[0].
     """
+    if n == 0:
+        return [[m[0] * d[0]] for m in nums]
     h = (n + 2) // 2
-    g = _inverse(d, h - 1)
+    g = _quotients([[1] + [0] * (h - 1)], d, h - 1)[0]
     out = []
     for m in nums:
         q = _mul_coeffs(m, g, h - 1)
-        if n >= h:
-            dq = _mul_coeffs(d, q, n)
-            r = list(map(sub, m[h : n + 1], dq[h:]))
-            q += _mul_coeffs(g, r, n - h)
+        dq = _mul_coeffs(d, q, n)
+        r = list(map(sub, m[h : n + 1], dq[h:]))
+        q += _mul_coeffs(g, r, n - h)
         out.append(q)
     return out
 
@@ -268,6 +251,8 @@ class TruncatedSeries(Frozen):
         return None
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be a natural number")
         if order > self.order:
             raise ValueError("cannot raise a truncation order")
         return TruncatedSeries(self.coeffs[: order + 1])
@@ -331,8 +316,8 @@ def div_exact(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
     The lowest nonzero denominator coefficient must be +-1: a quotient
     needing non-integer coefficients is an error.  A dense denominator is
-    divided into by Karp-Markstein (`_quotients`); otherwise the quotient
-    comes from the term-by-term recurrence.
+    divided into by recursive Karp-Markstein (`_quotients`); otherwise the
+    quotient comes from the term-by-term recurrence.
     """
     return div_exact_many((num,), den)[0]
 
@@ -376,12 +361,15 @@ def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
 
 def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
     """a(z^k).  Coefficient k*i holds a's coefficient i, everything else is
-    zero; the result is known through k*order(a) + k - 1."""
-    if k < 2:
-        raise ValueError("substitution exponent must be at least 2")
+    zero; the result is known through k*order(a) + k - 1.  With k = 1 it is
+    a truncated to `order`."""
+    if k < 1:
+        raise ValueError("substitution exponent must be positive")
     known = a.order * k + k - 1
     if order is None:
         order = a.order
+    if order < 0:
+        raise ValueError("order must be a natural number")
     if order > known:
         raise ValueError(f"a(z^{k}) is only determined to order {known}")
     out = [0] * (order + 1)

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import sterntwist
 import sterntwist.series as series
-from sterntwist.cli import BFile, BFileFormatError, parse_bfile, run
-from sterntwist.config import ORDER_ENV_VAR
+from sterntwist.cli import ORDER_ENV_VAR, BFile, BFileFormatError, parse_bfile, run
 from sterntwist.regularity import h_series
 from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
 from sterntwist.verify import REGISTRY, SUITES
@@ -74,34 +73,39 @@ def test_series_output(capsys):
     assert json.loads(out)["coefficients"] == ["1", "-2", "-2", "4", "0", "0", "6", "-6"]
 
 
+def count_quotient_calls(monkeypatch):
+    """(numerator count, n) of every `_quotients` call, recursive ones too."""
+    calls = []
+    quotients = series._quotients
+
+    def counted(nums, d, n):
+        calls.append((len(nums), n))
+        return quotients(nums, d, n)
+
+    monkeypatch.setattr(series, "_quotients", counted)
+    return calls
+
+
+#: The n of each level of a recursive division to 301 coefficients.
+CHAIN_300 = [300, 150, 75, 37, 18, 9, 4, 2, 1, 0]
+
+
 @pytest.mark.parametrize("name", ["u", "A", "B"])
 def test_quotient_series_invert_the_stern_series_once(monkeypatch, capsys, name):
-    calls = []
-    inverse = series._inverse
-
-    def counted(d, n):
-        calls.append(n)
-        return inverse(d, n)
-
-    monkeypatch.setattr(series, "_inverse", counted)
+    calls = count_quotient_calls(monkeypatch)
     code, out = invoke(capsys, ["series", "--name", name, "--order", "300"])
     assert code == 0 and out
-    # Karp-Markstein inverts only to half the 301 quotient coefficients
-    assert calls == [150]
+    # one recursion chain: below the top every level divides only the unit
+    # numerator, the inverse to 151 coefficients first
+    assert calls == [(1, 300)] + [(1, n) for n in CHAIN_300[1:]]
 
 
 def test_conjecture_ab_inverts_the_stern_series_once(monkeypatch, capsys):
-    calls = []
-    inverse = series._inverse
-
-    def counted(d, n):
-        calls.append(n)
-        return inverse(d, n)
-
-    monkeypatch.setattr(series, "_inverse", counted)
+    calls = count_quotient_calls(monkeypatch)
     code, out = invoke(capsys, ["conjecture", "--which", "ab", "--max-e", "3", "--order", "300"])
     assert code == 0 and "CONJ-AB" in out
-    assert calls == [150]
+    # A and B share one chain
+    assert calls == [(2, 300)] + [(1, n) for n in CHAIN_300[1:]]
 
 
 def test_series_psi_needs_e(capsys):
@@ -209,6 +213,17 @@ def test_kernel(capsys):
     assert code == 0 and "ranks by depth" in out
     code, _ = invoke(capsys, ["kernel", "--target", "stern", "--depth", "9", "--order", "16"])
     assert code == 2
+
+
+def test_kernel_refuses_a_deep_probe_before_forming_k_to_the_depth(capsys):
+    # 3^7 > 1024, so 6 is the deepest probe at the default order; neither
+    # 3^1000000 (past the int-to-str digit limit) nor 3^100000000 (minutes
+    # to compute) is ever formed
+    for depth in ("1000000", "100000000"):
+        code = run(["kernel", "--target", "stern", "--k", "3", "--depth", depth])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "kernel: depth must be at most 6, since order 1024 < 3^7\n"
 
 
 def test_conjecture(capsys):

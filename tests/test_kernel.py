@@ -2,8 +2,8 @@
 
 The schoolbook product and the term-by-term division recurrence below are the
 reference: Kronecker products, through CPython ints or through libmpdec, and
-Newton division must reproduce them exactly on every operand shape, including
-both sides of the sparse and the transform cutoffs.
+recursive Karp-Markstein division must reproduce them exactly on every
+operand shape, including both sides of the sparse and the transform cutoffs.
 """
 import decimal
 import random
@@ -327,12 +327,51 @@ def test_int_route_without_libmpdec(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Newton schedule and Karp-Markstein division against the doubling route.
+# Recursive Karp-Markstein division against the Newton and doubling routes.
 # ---------------------------------------------------------------------------
 
 
+def _inverse_newton(d, n):
+    """Coefficients 0..n of 1/d by Newton iteration g <- g + g(1 - d*g) on
+    the top-down precisions ceil((n+1)/2^i): the inverse the dense route
+    used before it became recursive, kept here only as an oracle."""
+    lengths = [n + 1]
+    while lengths[-1] > 1:
+        lengths.append((lengths[-1] + 1) // 2)
+    g = [d[0]]
+    k = 1
+    for k2 in reversed(lengths[:-1]):
+        # d*g = 1 + z^k * e modulo z^{k2}; the correction is -g*e, placed at z^k
+        e = [-c for c in series._mul_coeffs(d[:k2], g, k2 - 1)[k:]]
+        g += series._mul_coeffs(g, e, k2 - k - 1)
+        k = k2
+    return g
+
+
+def _quotients_newton(nums, d, n):
+    """The dense quotients as the former route formed them: the Newton
+    inverse to h = ceil((n+1)/2) coefficients, then one Karp-Markstein step
+    per numerator."""
+    h = (n + 2) // 2
+    g = _inverse_newton(d, h - 1)
+    out = []
+    for m in nums:
+        q = series._mul_coeffs(m, g, h - 1)
+        if n >= h:
+            dq = series._mul_coeffs(d, q, n)
+            r = [x - y for x, y in zip(m[h : n + 1], dq[h:])]
+            q += series._mul_coeffs(g, r, n - h)
+        out.append(q)
+    return out
+
+
+def unit_quotient(d, n):
+    """Coefficients 0..n of 1/d through `_quotients`."""
+    return series._quotients([[1] + [0] * n], d, n)[0]
+
+
 def _inverse_doubling(d, n):
-    """The former Newton inverse, on precisions 1, 2, 4, ... and then n+1;
+    """An older Newton inverse, on precisions 1, 2, 4, ... and then n+1;
     kept here only as an oracle."""
     g = [d[0]]
     k = 1
@@ -385,7 +424,7 @@ def assert_quotient(q, m, d, n):
 def test_newton_and_karp_markstein_at_powers_of_two(length):
     n = length - 1
     m, d = dense_operands(length, length, lead=(-1) ** length)
-    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    assert unit_quotient(d, n) == _inverse_doubling(d, n) == _inverse_newton(d, n)
     q = series._quotients([m], d, n)[0]
     assert_quotient(q, m, d, n)
     if length <= 130:
@@ -401,7 +440,7 @@ def test_newton_and_karp_markstein_at_powers_of_two(length):
 def test_dense_division_on_both_sides_of_the_transform_cutoff(length, lead):
     n = length - 1
     m, d = dense_operands(length, 3 * length + lead, lead=lead, bits=20)
-    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    assert unit_quotient(d, n) == _inverse_doubling(d, n)
     got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
     assert_quotient(list(got.coeffs), m, d, n)
 
@@ -425,7 +464,7 @@ def test_karp_markstein_matches_the_oracles(m_tail, d_tail, lead, n):
     m = (m_tail * (n + 1))[: n + 1]
     d = ([lead] + d_tail * (n + 1))[: n + 1]
     want = schoolbook_div(m, d, n)
-    assert series._inverse(d, n) == _inverse_doubling(d, n)
+    assert unit_quotient(d, n) == _inverse_doubling(d, n) == _inverse_newton(d, n)
     assert _divide_doubling(m, d, n) == want
     assert series._quotients([m, d], d, n) == [want, [1] + [0] * n]
 
@@ -433,36 +472,64 @@ def test_karp_markstein_matches_the_oracles(m_tail, d_tail, lead, n):
 def test_newton_steps_never_overshoot_the_target(monkeypatch):
     # at n = 8192 the doubling route reached 8192 coefficients of g and then
     # ran one more full-length step for the last one; the top-down schedule
-    # stops at ceil(8193/2) = 4097 before its last step
+    # stops at ceil(8193/2) = 4097 before its last level
     m, d = dense_operands(8193, 17, bits=12)
     lengths = []
     route = series._mul_coeffs
 
     def spy(a, b, n):
-        # every Newton product takes g and a slice of d, or g and a correction
-        lengths.extend(len(x) for x in (a, b) if list(x) != d[: len(x)])
+        # every product takes g and a slice of d, the unit numerator and g,
+        # or g and a remainder; each operand is read to n + 1 coefficients
+        lengths.extend(len(x[: n + 1]) for x in (a, b) if list(x) != d[: len(x)])
         return route(a, b, n)
 
     monkeypatch.setattr(series, "_mul_coeffs", spy)
-    g = series._inverse(d, 8192)
+    g = unit_quotient(d, 8192)
     assert len(g) == 8193
     assert lengths and max(lengths) <= 4097
     monkeypatch.undo()
-    assert g == _inverse_doubling(d, 8192)
+    assert g == _inverse_doubling(d, 8192) == _inverse_newton(d, 8192)
 
 
 def test_one_inverse_serves_every_numerator(monkeypatch):
     calls = []
-    inverse = series._inverse
+    quotients = series._quotients
 
-    def counted(d, n):
-        calls.append(n)
-        return inverse(d, n)
+    def counted(nums, d, n):
+        calls.append((len(nums), n))
+        return quotients(nums, d, n)
 
-    monkeypatch.setattr(series, "_inverse", counted)
+    monkeypatch.setattr(series, "_quotients", counted)
     den = TruncatedSeries.from_coeffs([stern(n) for n in range(402)])
     nums = [TruncatedSeries.from_coeffs([0] + [stern(n + k) for n in range(401)]) for k in (2, 3, 5)]
     got = series.div_exact_many(nums, den)
-    assert calls == [200]
+    # one recursion chain: the three numerators at the top, then the unit
+    # numerator on each level below, the inverse to 201 coefficients first
+    assert calls == [(3, 400)] + [(1, n) for n in (200, 100, 50, 25, 12, 6, 3, 1, 0)]
     assert got == tuple(div_exact(num, den) for num in nums)
     assert all(q.order == 400 for q in got)
+
+
+@pytest.mark.parametrize("length", [1023, 1024, 2048, 2049, 4097, 8193])
+@pytest.mark.parametrize("lead", [1, -1])
+def test_dense_division_makes_the_newton_routes_products(monkeypatch, length, lead):
+    # each level of the recursion makes the products of one Newton step,
+    # d*g and g*e, with the same operands; the unit numerator's product with
+    # g has one term and takes the schoolbook loop
+    n = length - 1
+    m, d = dense_operands(length, 5 * length + lead, lead=lead, bits=20)
+    calls = []
+    for name in ("_kron_mul", "_decimal_mul"):
+        route = getattr(series, name)
+
+        def recorded(a, b, n, name=name, route=route):
+            calls.append((name, tuple(a), tuple(b), n))
+            return route(a, b, n)
+
+        monkeypatch.setattr(series, name, recorded)
+    got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
+    new_calls = calls[:]
+    calls.clear()
+    want = _quotients_newton([m], d, n)[0]
+    assert calls and new_calls == calls
+    assert list(got.coeffs) == want

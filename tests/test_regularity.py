@@ -251,7 +251,7 @@ def test_p_product_logderiv_residual_check(monkeypatch, coeffs, k, where):
 
     monkeypatch.setattr(series, "_quotients", spy)
     b = log_derivative(infinite_product(poly, k, order))
-    assert calls  # B divides by the dense product through Newton ...
+    assert calls  # B divides by the dense product through _quotients ...
     calls.clear()
     monkeypatch.setattr(regularity, "log_derivative", lambda a: b)
     assert p_product_logderiv(poly, k, order)[1] is b
@@ -396,6 +396,14 @@ def test_kernel_rank_preconditions():
         kernel_rank("x", [1] * 4, 2, 1, 16)
     with pytest.raises(ValueError):
         kernel_rank("x", [1] * 16, 1, 1, 16)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        kernel_rank("x", [], 2, 0, 0)
+    # 2^4 <= 16 < 2^5: depth 4 runs, 5 and a depth whose power would take
+    # minutes to form are refused at once, naming 4
+    assert kernel_rank("x", [1] * 16, 2, 4, 16).ranks == (1,) * 5
+    for depth in (5, 10**8):
+        with pytest.raises(ValueError, match=r"depth must be at most 4, since order 16 < 2\^5"):
+            kernel_rank("x", [1] * 16, 2, depth, 16)
 
 
 def test_kernel_rank_rejects_unreliable_prefix():

@@ -83,6 +83,8 @@ def test_coeff_beyond_order_rejected():
         S([1, 2]).coeff(5)
     with pytest.raises(ValueError):
         S([1]).truncate(3)
+    with pytest.raises(ValueError):
+        S([1, 2]).truncate(-1)
 
 
 def test_div_examples():
@@ -130,10 +132,18 @@ def test_substitute_power():
     assert substitute_power(S([1, 1]), 2).coeffs == (1, 0)
     assert substitute_power(S([1, 1]), 2, order=3).coeffs == (1, 0, 1, 0)
     assert substitute_power(S([], order=3), 5).coeffs == (0,) * 4
+    # k = 1 truncates; k = 0 and an order below 0 are refused
+    assert substitute_power(S([1, 2, 3]), 1, order=1).coeffs == (1, 2)
+    assert substitute_power(S([1, 2, 3]), 1).coeffs == (1, 2, 3)
     with pytest.raises(ValueError):
-        substitute_power(S([1, 1]), 1)
+        substitute_power(S([1, 1]), 0)
+    with pytest.raises(ValueError):
+        substitute_power(S([1, 1]), 1, order=2)
     with pytest.raises(ValueError):
         substitute_power(S([1, 1]), 2, order=100)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError):
+            substitute_power(S([1, 1]), k, order=-1)
 
 
 def test_derivative():

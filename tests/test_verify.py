@@ -519,7 +519,7 @@ def test_conjecture_gen_failures_walk_the_points(monkeypatch):
     passes, want = len(verify.EXPECTED_GEN_QUOTIENT), []
     for e in range(e_max + 1):
         m = 3 << e
-        rhs = (substitute_power(bad, 1 << e, order - m) if e else bad) * s
+        rhs = substitute_power(bad, 1 << e, order - m) * s
         for n in range(order - m + 1):
             lhs, right = twisted(m + n), (-1) ** e * rhs.coeff(n)
             if lhs == right:
@@ -540,8 +540,8 @@ def test_conjecture_ab_failures_walk_the_points(monkeypatch):
     passes, want = len(verify.EXPECTED_AB_A) + len(verify.EXPECTED_AB_B), []
     for e in range(e_max + 1):
         step = 1 << e
-        rhs_a = (substitute_power(bad_a, step, order - 2 * step) if e else bad_a) * s
-        rhs_b = (substitute_power(bad_b, step, order - 2 * step) if e else bad_b) * s
+        rhs_a = substitute_power(bad_a, step, order - 2 * step) * s
+        rhs_b = substitute_power(bad_b, step, order - 2 * step) * s
         for n in range(order - 2 * step + 1):
             sides = (
                 (stern(2 * step + n) - stern(step + n), rhs_a.coeff(n)),
@@ -603,7 +603,7 @@ def test_range_builders_read_tables_and_match_point_lookups():
     points = len(verify.EXPECTED_GEN_QUOTIENT)
     for e in range(6):
         m = 3 << e
-        rhs = (substitute_power(u, 1 << e, 400 - m) if e else u) * s
+        rhs = substitute_power(u, 1 << e, 400 - m) * s
         assert [twisted(m + n) for n in range(401 - m)] == [
             (-1) ** e * c for c in rhs.coeffs[: 401 - m]
         ]
@@ -617,8 +617,8 @@ def test_range_builders_read_tables_and_match_point_lookups():
     for e in range(6):
         step = 1 << e
         cutoff = 400 - 2 * step
-        rhs_a = (substitute_power(a, step, cutoff) if e else a) * s
-        rhs_b = (substitute_power(b, step, cutoff) if e else b) * s
+        rhs_a = substitute_power(a, step, cutoff) * s
+        rhs_b = substitute_power(b, step, cutoff) * s
         for n in range(cutoff + 1):
             assert stern(2 * step + n) - stern(step + n) == rhs_a.coeff(n)
             sides = twisted(2 * step + n) + twisted(step + n)
