@@ -3,7 +3,6 @@ sequence, its sign-twisted companion, and the series identities that tie
 the two together."""
 
 from .sequences import (
-    BinaryWord,
     SequenceCache,
     WeightPolynomial,
     count_admissible,

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import ratwords, regularity, verify
-from .sequences import MAX_TABLE, Frozen, stern, twisted, weighted_even, weighted_stern
+from .sequences import MAX_TABLE, stern, twisted, weighted_even, weighted_stern
 from .series import (
     carlitz_series,
     psi,
@@ -34,25 +34,9 @@ class BFileFormatError(ValueError):
     pass
 
 
-class BFile(Frozen):
-    """Parsed OEIS-style b-file: `index value` lines, strictly increasing
-    indices, # comments allowed.  Immutable; equal when id and entries are."""
-
-    __slots__ = ("oeis_id", "entries")
-
-    def __init__(self, oeis_id: str | None, entries: tuple[tuple[int, int], ...]):
-        self._set_fields(oeis_id, entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, BFile):
-            return NotImplemented
-        return (self.oeis_id, self.entries) == (other.oeis_id, other.entries)
-
-    def __hash__(self):
-        return hash((self.oeis_id, self.entries))
-
-
-def parse_bfile(text: str, oeis_id: str | None = None) -> BFile:
+def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
+    """The `(index, value)` pairs of an OEIS-style b-file: `index value`
+    lines, strictly increasing natural indices, # comments allowed."""
     entries = []
     last = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -73,7 +57,7 @@ def parse_bfile(text: str, oeis_id: str | None = None) -> BFile:
             raise BFileFormatError(f"line {lineno}: indices must be strictly increasing")
         last = idx
         entries.append((idx, val))
-    return BFile(oeis_id, tuple(entries))
+    return tuple(entries)
 
 
 #: Per-id comparison defaults: index cap and how a file index maps onto ours.
@@ -85,14 +69,20 @@ _OEIS_TARGETS = {
 
 
 def _oeis_reference_values(oeis_id: str, max_index: int):
-    """index -> expected value, for indices up to max_index."""
+    """index -> expected value, for indices up to max_index.  A series
+    reference is refused, before it is built, unless its order lies below
+    MAX_ORDER."""
     if oeis_id == "A002487":
         return lambda i: stern(i)
+    # A000123: entry n counts partitions of 2n into powers of two, which is
+    # our coefficient at index 2n.
+    stride = 2 if oeis_id == "A000123" else 1
+    if stride * max_index >= MAX_ORDER:
+        raise ValueError(f"index {max_index} is past {(MAX_ORDER - 1) // stride}, "
+                         f"the largest index {oeis_id} is checked at")
     if oeis_id == "A163659":
         coeffs = regularity.h_series(max_index).coeffs
         return lambda i: coeffs[i]
-    # A000123: entry n counts partitions of 2n into powers of two, which is
-    # our coefficient at index 2n.
     coeffs = regularity.binary_partition_series(2 * max_index).coeffs
     return lambda i: coeffs[2 * i]
 
@@ -259,6 +249,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_kernel(args) -> int:
     order = _order(args)
+    regularity.check_kernel_probe(args.k, args.depth, order)
     values = _series_by_name(args.target, order - 1, None).coeffs
     report = regularity.kernel_rank(args.target, values, args.k, args.depth, order)
     if args.format == "json":
@@ -298,8 +289,8 @@ def _cmd_oeis_check(args) -> int:
     target = _OEIS_TARGETS[args.oeis_id]
     limit = args.limit if args.limit is not None else target["limit"]
     with open(args.bfile, "r", encoding="utf-8") as handle:
-        bfile = parse_bfile(handle.read(), args.oeis_id)
-    usable = [(i, v) for i, v in bfile.entries if i <= limit]
+        entries = parse_bfile(handle.read())
+    usable = [(i, v) for i, v in entries if i <= limit]
     if not usable:
         raise ValueError(f"no entries with index <= {limit}")
     reference = _oeis_reference_values(args.oeis_id, max(i for i, _ in usable))

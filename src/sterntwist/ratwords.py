@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .sequences import W, ZERO_W, Frozen, WeightPolynomial
+from .sequences import W, ZERO_W, Frozen, WeightPolynomial, digits_of
 
 
 def _row_times_matrix(row, matrix, zero):
@@ -179,22 +179,6 @@ def subfactor_transform(rep: LinearRepresentation) -> LinearRepresentation:
     before/inside/after product with absorbing outer phases."""
     everything = all_words_representation(rep.alphabet_size)
     return representation_product(everything, representation_product(rep, everything))
-
-
-def digits_of(n: int, base: int) -> tuple[int, ...]:
-    """Base-`base` digits of n, most significant first; 0 encodes as (0,)."""
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if n < 0:
-        raise ValueError("expansions encode natural numbers")
-    if n == 0:
-        return (0,)
-    out = []
-    while n:
-        n, d = divmod(n, base)
-        out.append(d)
-    out.reverse()
-    return tuple(out)
 
 
 def count_in_expansion(rep: LinearRepresentation, n: int, base: int = 2) -> object:

@@ -12,11 +12,12 @@ import json
 from itertools import accumulate, repeat
 from operator import add, index, mul
 
-from .sequences import Frozen, Kind
+from .sequences import Frozen, Kind, _trimmed
 from .series import (
     DensePolynomial,
     InternalCheckError,
     TruncatedSeries,
+    derivative,
     div_exact,
     infinite_product,
     log_derivative,
@@ -143,31 +144,14 @@ def degree_reduce(system: AffineSystem) -> AffineSystem:
         return system
     d = system.d
 
-    def split(poly, row_out, j):
-        low = list(poly[:k])
-        high = list(poly[k:])
-        if any(high):
-            routed = list(row_out[d + j])
-            for m, c in enumerate(high):
-                if c:
-                    while len(routed) <= m:
-                        routed.append(0)
-                    routed[m] = routed[m] + c
-            row_out[d + j] = tuple(routed)
-        row_out[j] = tuple(low)
+    def split(row) -> tuple:
+        """The forms below z^k, then the rest divided by z^k (trailing
+        zeros dropped; () when it is zero), which act on z*U_j."""
+        return (tuple(poly[:k] for poly in row)
+                + tuple(_trimmed(poly[k:]) if any(poly[k:]) else () for poly in row))
 
-    new_forms = []
-    for i in range(d):
-        row_out = [()] * (2 * d)
-        for j in range(d):
-            split(system.forms[i][j], row_out, j)
-        new_forms.append(tuple(row_out))
-    for i in range(d):
-        row_out = [()] * (2 * d)
-        for j in range(d):
-            shifted = (0,) + tuple(system.forms[i][j])
-            split(shifted, row_out, j)
-        new_forms.append(tuple(row_out))
+    new_forms = [split(row) for row in system.forms]
+    new_forms += [split([(0,) + poly for poly in row]) for row in system.forms]
 
     new_terms = system.terms + tuple(a.shift(1) for a in system.terms)
     new_constants = system.constants + (0,) * d
@@ -206,13 +190,13 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
     and by P, while P has at most SPARSE_TERMS nonzero tail terms, by the
     term recurrence: the two sides of the check take independent routes.
     """
-    if poly.constant_term != 1:
+    if poly.coeffs[0] != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
     if order < 1:
         raise ValueError("order must be at least 1")
     a = infinite_product(poly, k, order)
     b = log_derivative(a)
-    pp = div_exact(poly.derivative().to_series(order - 1), poly.to_series(order - 1))
+    pp = div_exact(derivative(poly.to_series(order)), poly.to_series(order - 1))
     sub = substitute_power(b, k, max(order - k, 0))
     rhs = pp + sub.shift(k - 1).truncate(order - 1).scale(k)
     if b != rhs:
@@ -324,14 +308,10 @@ def _section_ranks(values, k: int, depth: int, order: int) -> list[int]:
     return ranks
 
 
-def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelProbeReport:
-    """Probe the kernel of a coefficient sequence.
-
-    Depth d contributes the k^d sections n -> a(k^d n + r); its rank is
-    taken over all sections of depth <= d, each cut to the common prefix
-    length floor(order / k^d).  Bounded, stabilising ranks are evidence of
-    k-regularity; steady growth is evidence against it.
-    """
+def check_kernel_probe(k: int, depth: int, order: int) -> None:
+    """Refuse, with ValueError, a probe that `kernel_rank` cannot run: a
+    base below 2, a negative depth, an order below 1, or a depth d with
+    k^d > order.  It needs no coefficient values."""
     if k < 2:
         raise ValueError("base k must be at least 2")
     if depth < 0:
@@ -345,6 +325,17 @@ def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelPr
     if depth > deepest:
         raise ValueError(f"depth must be at most {deepest}, "
                          f"since order {order} < {k}^{deepest + 1}")
+
+
+def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelProbeReport:
+    """Probe the kernel of a coefficient sequence.
+
+    Depth d contributes the k^d sections n -> a(k^d n + r); its rank is
+    taken over all sections of depth <= d, each cut to the common prefix
+    length floor(order / k^d).  Bounded, stabilising ranks are evidence of
+    k-regularity; steady growth is evidence against it.
+    """
+    check_kernel_probe(k, depth, order)
     values = list(values)
     if len(values) < order:
         raise ValueError(f"need at least {order} coefficient values")

@@ -146,42 +146,20 @@ def prefix(kind: Kind, length: int) -> list[int]:
     return table
 
 
-class BinaryWord(Frozen):
-    """Binary digits of a natural number, most significant first.
-
-    No leading zero is ever stored except for the word of 0 itself.  Words
-    are equal when their digits are.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: tuple[int, ...]):
-        self._set_fields(bits)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryWord):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    @classmethod
-    def of(cls, n: int) -> "BinaryWord":
-        if n < 0:
-            raise ValueError("binary words encode natural numbers")
-        if n == 0:
-            return cls((0,))
-        return cls(tuple((n >> k) & 1 for k in range(n.bit_length() - 1, -1, -1)))
-
-    def to_int(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = 2 * v + b
-        return v
-
-    def __len__(self) -> int:
-        return len(self.bits)
+def digits_of(n: int, base: int) -> tuple[int, ...]:
+    """Base-`base` digits of n, most significant first; 0 encodes as (0,)."""
+    if base < 2:
+        raise ValueError("base must be at least 2")
+    if n < 0:
+        raise ValueError("expansions encode natural numbers")
+    if n == 0:
+        return (0,)
+    out = []
+    while n:
+        n, d = divmod(n, base)
+        out.append(d)
+    out.reverse()
+    return tuple(out)
 
 
 def count_admissible(n: int) -> int:
@@ -196,7 +174,7 @@ def count_admissible(n: int) -> int:
     """
     ending_one = 0
     ending_ten = 0
-    for bit in BinaryWord.of(n).bits:
+    for bit in digits_of(n, 2):
         if bit:
             ending_one += ending_ten + 1
         else:
@@ -218,7 +196,7 @@ def _check_guard(n: int, guard_bits: int) -> None:
 
 def _digit_positions(n: int) -> tuple[list[int], list[int]]:
     """Ascending bit positions of the 1-digits and of the 0-digits of n."""
-    word = BinaryWord.of(n).bits
+    word = digits_of(n, 2)
     top = len(word) - 1
     ones = [top - i for i, b in enumerate(word) if b == 1]
     zeros = [top - i for i, b in enumerate(word) if b == 0]

@@ -427,10 +427,6 @@ class DensePolynomial(IntPolynomial):
     __slots__ = ()
     var = "z"
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0]
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -453,20 +449,6 @@ class DensePolynomial(IntPolynomial):
             e >>= 1
         return result
 
-    def derivative(self) -> "DensePolynomial":
-        if self.degree == 0:
-            return DensePolynomial._of_ints((0,))
-        c = self.coeffs
-        return DensePolynomial._of_ints(tuple(i * c[i] for i in range(1, len(c))))
-
-    def substitute_power(self, k: int) -> "DensePolynomial":
-        """z -> z^k."""
-        if k < 1:
-            raise ValueError("substitution exponent must be positive")
-        out = [0] * (self.degree * k + 1)
-        out[::k] = self.coeffs
-        return DensePolynomial._of_ints(tuple(out))
-
     def to_series(self, order: int) -> TruncatedSeries:
         return TruncatedSeries(_padded(self.coeffs, order))
 
@@ -476,13 +458,12 @@ def infinite_product(poly: DensePolynomial, k: int, order: int) -> TruncatedSeri
     `order`; later factors are 1 modulo z^{order+1}."""
     if k < 2:
         raise ValueError("product base must be at least 2")
-    if poly.constant_term != 1:
+    if poly.coeffs[0] != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
     acc = TruncatedSeries.one(order)
     step = 1
     while step <= order:
-        factor = poly.substitute_power(step).to_series(order)
-        acc = acc * factor
+        acc = acc * substitute_power(poly.to_series(order // step), step, order)
         step *= k
     return acc
 

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sterntwist.cli import BFile, parse_bfile
 from sterntwist.ratwords import LinearRepresentation, admissible_representation
 from sterntwist.regularity import AffineSystem, KernelProbeReport
-from sterntwist.sequences import W, BinaryWord, IntPolynomial, WeightPolynomial
+from sterntwist.sequences import W, IntPolynomial, WeightPolynomial
 from sterntwist.series import DensePolynomial, TruncatedSeries
 from sterntwist.verify import REGISTRY, VerificationReport, check_identity
 
 FROZEN = {
-    "BinaryWord": (lambda: BinaryWord.of(5), "bits"),
     "WeightPolynomial": (lambda: WeightPolynomial((1, 2)), "coeffs"),
     "DensePolynomial": (lambda: DensePolynomial((1, 2)), "coeffs"),
     "TruncatedSeries": (lambda: TruncatedSeries.from_coeffs((1, 2)), "coeffs"),
@@ -23,7 +21,6 @@ FROZEN = {
     "KernelProbeReport": (
         lambda: KernelProbeReport("t", 2, 64, 2, (1, 2, 2), (1, 2, 2), True), "stable"),
     "IdentityRecord": (lambda: REGISTRY["STID-S"], "e_min"),
-    "BFile": (lambda: BFile("A002487", ((0, 0), (1, 1))), "entries"),
 }
 
 
@@ -51,21 +48,6 @@ def test_frozen_values_pickle(name):
     assert getattr(copy, field) == getattr(obj, field)
     with pytest.raises(AttributeError):
         setattr(copy, field, getattr(obj, field))
-
-
-def test_binary_word_and_bfile_equality_and_hash():
-    assert BinaryWord.of(6) == BinaryWord((1, 1, 0))
-    assert hash(BinaryWord.of(6)) == hash(BinaryWord((1, 1, 0)))
-    assert BinaryWord.of(6) != BinaryWord.of(3)
-    assert BinaryWord.of(1) != (1,)
-    assert len({BinaryWord.of(n) for n in (0, 1, 6, 6, 3)}) == 4
-    a = parse_bfile("0 0\n1 1\n", "A002487")
-    assert a == BFile("A002487", ((0, 0), (1, 1)))
-    assert hash(a) == hash(BFile("A002487", ((0, 0), (1, 1))))
-    assert a != BFile(None, ((0, 0), (1, 1)))
-    assert a != BFile("A002487", ((0, 0),))
-    assert a != (("A002487", ((0, 0), (1, 1))))
-    assert len({a, BFile("A002487", ((0, 0), (1, 1))), BFile(None, ())}) == 2
 
 
 def test_polynomial_and_series_reprs():

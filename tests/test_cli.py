@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sterntwist
+import sterntwist.cli as cli
+import sterntwist.regularity as regularity
 import sterntwist.series as series
-from sterntwist.cli import ORDER_ENV_VAR, BFile, BFileFormatError, parse_bfile, run
+from sterntwist.cli import MAX_ORDER, ORDER_ENV_VAR, BFileFormatError, parse_bfile, run
 from sterntwist.regularity import h_series
 from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
 from sterntwist.verify import REGISTRY, SUITES
@@ -226,6 +228,26 @@ def test_kernel_refuses_a_deep_probe_before_forming_k_to_the_depth(capsys):
         assert captured.err == "kernel: depth must be at most 6, since order 1024 < 3^7\n"
 
 
+@pytest.mark.parametrize("target", ["stern", "H", "C", "binpart"])
+@pytest.mark.parametrize("argv, message", [
+    (["--order", "0"], "order must be at least 1"),
+    (["--depth", "100", "--order", "65536"], "depth must be at most 16, since order 65536 < 2^17"),
+    (["--k", "1"], "base k must be at least 2"),
+    (["--depth", "-1"], "depth must be a natural number"),
+])
+def test_kernel_refuses_its_arguments_before_building_the_series(capsys, monkeypatch, target,
+                                                                 argv, message):
+    def unbuilt(*args):
+        raise AssertionError("the target series was built")
+
+    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "_series_by_name", unbuilt)
+    code = run(["kernel", "--target", target, *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"kernel: {message}\n"
+
+
 def test_conjecture(capsys):
     code, out = invoke(
         capsys, ["conjecture", "--which", "gen", "--max-e", "3", "--order", "128",
@@ -278,17 +300,16 @@ def test_count(capsys):
 
 
 def test_parse_bfile():
-    bfile = parse_bfile("0 0\n1 1\n2 1\n")
-    assert bfile.entries == ((0, 0), (1, 1), (2, 1))
-    assert parse_bfile("# comment\n5 3\n").entries == ((5, 3),)
-    assert parse_bfile("  3   7  \n\n").entries == ((3, 7),)
+    assert parse_bfile("0 0\n1 1\n2 1\n") == ((0, 0), (1, 1), (2, 1))
+    assert parse_bfile("# comment\n5 3\n") == ((5, 3),)
+    assert parse_bfile("  3   7  \n\n") == ((3, 7),)
     with pytest.raises(BFileFormatError):
         parse_bfile("1 2 3\n")
     with pytest.raises(BFileFormatError):
         parse_bfile("abc def\n")
     with pytest.raises(BFileFormatError):
         parse_bfile("2 1\n1 1\n")
-    assert isinstance(parse_bfile("", "A000001"), BFile)
+    assert parse_bfile("") == ()
 
 
 def test_oeis_check_stern(capsys, tmp_path, stern_first_terms):
@@ -336,6 +357,46 @@ def test_oeis_check_errors(capsys, tmp_path):
     empty.write_text("999999999 1\n")
     code, _ = invoke(capsys, ["oeis-check", "--id", "A002487", "--bfile", str(empty), "--limit", "10"])
     assert code == 2
+
+
+@pytest.mark.parametrize("oeis_id, largest", [
+    ("A163659", MAX_ORDER - 1),
+    ("A000123", (MAX_ORDER - 1) // 2),
+])
+def test_oeis_check_refuses_an_index_past_the_order_cap(capsys, monkeypatch, tmp_path,
+                                                         oeis_id, largest):
+    def unbuilt(order):
+        raise AssertionError("the reference series was built")
+
+    monkeypatch.setattr(regularity, "h_series", unbuilt)
+    monkeypatch.setattr(regularity, "binary_partition_series", unbuilt)
+    path = tmp_path / "far.txt"
+    path.write_text(f"0 1\n{largest + 1} 5\n")
+    code = run(["oeis-check", "--id", oeis_id, "--bfile", str(path),
+                "--limit", str(largest + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"oeis-check: index {largest + 1} is past {largest}, "
+                            f"the largest index {oeis_id} is checked at\n")
+
+
+@pytest.mark.parametrize("oeis_id, stride", [("A163659", 1), ("A000123", 2)])
+def test_oeis_check_runs_up_to_the_order_cap(capsys, monkeypatch, tmp_path, oeis_id, stride):
+    # the cap lowered to 64, so that the largest index accepted is cheap
+    monkeypatch.setattr(cli, "MAX_ORDER", 64)
+    largest = 63 // stride
+    build = regularity.h_series if stride == 1 else regularity.binary_partition_series
+    coeffs = build(stride * (largest + 1)).coeffs
+    path = tmp_path / "edge.txt"
+    path.write_text("".join(f"{n} {coeffs[stride * n]}\n" for n in range(largest + 1)))
+    code, out = invoke(capsys, ["oeis-check", "--id", oeis_id, "--bfile", str(path)])
+    assert code == 0 and f"{largest + 1} entries match" in out
+    with path.open("a") as handle:
+        handle.write(f"{largest + 1} {coeffs[stride * (largest + 1)]}\n")
+    code = run(["oeis-check", "--id", oeis_id, "--bfile", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"past {largest}," in captured.err
 
 
 def test_usage_errors(capsys):

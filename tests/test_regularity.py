@@ -100,6 +100,25 @@ def test_degree_reduce_preserves_solution():
     assert solution[1] == baseline.shift(1).truncate(64)
 
 
+def test_degree_reduce_forms_of_the_degree_3_system():
+    # acceptance criterion 9's system, every round pinned form by form: a
+    # part from z^k on that is zero reads (), and trailing zeros go
+    inhom = expand_rational(DensePolynomial((1,)), DensePolynomial((1, -1)), 64)
+    reduced = AffineSystem.of(2, [inhom], [[(0, 0, 0, 1)]], [1])
+    rounds = []
+    while reduced.max_form_degree() >= reduced.k:
+        reduced = degree_reduce(reduced)
+        rounds.append(reduced.forms)
+    assert rounds == [
+        (((0, 0), (0, 1)),
+         ((0, 0), (0, 0, 1))),
+        (((0, 0), (0, 1), (), ()),
+         ((0, 0), (0, 0), (), (1,)),
+         ((0, 0), (0, 0), (), (1,)),
+         ((0, 0), (0, 0), (), (0, 1))),
+    ]
+
+
 def _solve_at_full_order(system, order):
     """The former fixed-point iteration, kept as the oracle: floor(log_k
     order) + 2 rounds, each computing all order + 1 coefficients of every

@@ -13,13 +13,13 @@ from sterntwist.ratwords import (
     subsequence_transform,
 )
 from sterntwist.sequences import (
-    BinaryWord,
     InputTooLargeError,
     Kind,
     SequenceCache,
     W,
     WeightPolynomial,
     count_admissible,
+    digits_of,
     enumerate_admissible,
     mod2,
     prefix,
@@ -35,7 +35,7 @@ from sterntwist.sequences import (
 
 def brute_admissible_subsets(n):
     """Oracle: check every subset of digit positions outright."""
-    word = BinaryWord.of(n).bits
+    word = digits_of(n, 2)
     size = len(word)
     top = size - 1
     out = []
@@ -287,8 +287,8 @@ def test_ratio_map_injective():
 
 @given(st.integers(min_value=0, max_value=1 << 40))
 def test_binary_word_roundtrip(n):
-    word = BinaryWord.of(n)
-    assert word.to_int() == n
+    word = digits_of(n, 2)
+    assert int("".join(map(str, word)), 2) == n
     if n > 0:
-        assert word.bits[0] == 1
+        assert word[0] == 1
     assert len(word) == max(n.bit_length(), 1)

@@ -186,6 +186,28 @@ def test_section_interleave_identity(coeffs, k):
     assert total == a
 
 
+def _infinite_product_by_polynomials(poly, k, order):
+    """The former route to infinite_product, kept as the oracle: each factor
+    is poly(z^step) formed as a polynomial, then cut to the order."""
+    acc = TruncatedSeries.one(order)
+    step = 1
+    while step <= order:
+        out = [0] * (poly.degree * step + 1)
+        out[::step] = poly.coeffs
+        acc = acc * DensePolynomial(out).to_series(order)
+        step *= k
+    return acc
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, -1), (1, 2, 0, 3, 1)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_infinite_product_matches_the_polynomial_substitution(coeffs, k):
+    poly = DensePolynomial(coeffs)
+    for order in [*range(301), 1023, 1024, 4096]:
+        got = infinite_product(poly, k, order).coeffs
+        assert got == _infinite_product_by_polynomials(poly, k, order).coeffs, order
+
+
 def test_infinite_product():
     prod = infinite_product(DensePolynomial((1, 1, 1)), 2, 21)
     assert prod.coeffs == tuple(stern(n + 1) for n in range(22))
@@ -214,8 +236,8 @@ def test_dense_polynomial():
     assert p**3 == p * p * p
     assert (p - p).coeffs == (0,)
     assert DensePolynomial((1, 0, 0)).coeffs == (1,)
-    assert p.derivative().coeffs == (1, 2)
-    assert p.substitute_power(2).coeffs == (1, 0, 1, 0, 1)
+    assert derivative(p.to_series(2)).coeffs == (1, 2)
+    assert substitute_power(p.to_series(2), 2, 4).coeffs == (1, 0, 1, 0, 1)
     assert p.shift(2).coeffs == (0, 0, 1, 1, 1)
     assert str(DensePolynomial((0, 1, 1))) == "0 + 1*z + 1*z^2"
 
@@ -296,9 +318,10 @@ def test_psi_palindrome_window():
 def test_psi_doubling_recursion():
     # z * psi(e+1) equals (1 + z + z^2) * psi(e)(z^2)
     for e in range(10):
-        lhs = psi(e + 1).shift(1)
-        rhs = DensePolynomial((1, 1, 1)) * psi(e).substitute_power(2)
-        assert lhs == rhs
+        lhs = psi(e + 1).shift(1).to_series(6 << e)
+        rhs = DensePolynomial((1, 1, 1)).to_series(6 << e) * substitute_power(
+            psi(e).to_series(3 << e), 2, 6 << e)
+        assert lhs.coeffs == rhs.coeffs
 
 
 def test_psi_prefix_is_stern():
