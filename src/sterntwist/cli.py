@@ -202,12 +202,8 @@ def _series_by_name(name: str, order: int, e: int | None):
         return regularity.h_series(order)
     if name == "C":
         return regularity.c_series(order)
-    if name == "u":
-        return verify.gen_quotient_series(order)
-    if name == "A":
-        return verify.a_quotient_series(order)
-    if name == "B":
-        return verify.b_quotient_series(order)
+    if name in verify.WINDOW_FORMS:
+        return verify.quotient_series(name, order)
     if name == "binpart":
         return regularity.binary_partition_series(order)
     raise ValueError(f"unknown series {name!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import reduce
 from itertools import chain, repeat
 from operator import add, and_, mul, sub
 from typing import Callable
@@ -677,45 +678,40 @@ def check_palindrome(e_max: int) -> VerificationReport:
 # Conjecture evidence.
 # ---------------------------------------------------------------------------
 
-#: Leading quotient coefficients the evidence sweeps cross-check.
-EXPECTED_GEN_QUOTIENT = (1, 0, -2, 0, 0, -2, 4, 2, -6, 4, 2, -6, 8)
-EXPECTED_AB_A = (1, -2, 2, 0, -4, 4, 2)
-EXPECTED_AB_B = (1, -2, -2, 4, 0, 0, 6, -6)
+#: The conjectured window forms, name -> (terms, alternating, leading
+#: coefficients).  The terms (c, kind, a) give the windows
+#: W_e(z) = sum of c*x(a*2^e + n)*z^n over the terms and n >= 0, x the
+#: sequence of `kind`.  The conjecture: Q = W_0/S is integral, with S the
+#: Stern series, starts with the leading coefficients, and
+#: W_e = (-1)^(e*alternating) Q(z^(2^e)) S for every e.
+WINDOW_FORMS = {
+    "u": (((1, Kind.TWISTED, 3),), True, (1, 0, -2, 0, 0, -2, 4, 2, -6, 4, 2, -6, 8)),
+    "A": (((1, Kind.STERN, 2), (-1, Kind.STERN, 1)), False, (1, -2, 2, 0, -4, 4, 2)),
+    "B": (((-1, Kind.TWISTED, 2), (-1, Kind.TWISTED, 1)), True, (1, -2, -2, 4, 0, 0, 6, -6)),
+}
+
+
+def _window(name: str, e: int, order: int) -> TruncatedSeries:
+    """W_e of the window form `name`, to `order`."""
+    return reduce(add, (window_series(kind, a << e, (a << e) + order + 1).scale(c)
+                        for c, kind, a in WINDOW_FORMS[name][0]))
+
+
+def quotient_series(name: str, order: int) -> TruncatedSeries:
+    """The integral quotient Q = W_0/S of the window form `name`."""
+    return div_exact(_window(name, 0, order + 1), stern_series(order + 2))
 
 
 def gen_quotient_series(order: int) -> TruncatedSeries:
-    """The integral quotient of the shifted twisted series (offset 3) by the
-    Stern series."""
-    return div_exact(window_series(Kind.TWISTED, 3, order + 5), stern_series(order + 2))
-
-
-def _a_numerator(order: int) -> TruncatedSeries:
-    return window_series(Kind.STERN, 2, order + 4) - window_series(Kind.STERN, 1, order + 3)
-
-
-def _b_numerator(order: int) -> TruncatedSeries:
-    return -(window_series(Kind.TWISTED, 2, order + 4) + window_series(Kind.TWISTED, 1, order + 3))
-
-
-def a_quotient_series(order: int) -> TruncatedSeries:
-    """The s-step quotient A behind the doubling conjecture."""
-    return div_exact(_a_numerator(order), stern_series(order + 2))
-
-
-def b_quotient_series(order: int) -> TruncatedSeries:
-    """The sign-flipped t-step quotient B behind the doubling conjecture."""
-    return div_exact(_b_numerator(order), stern_series(order + 2))
+    """u, the quotient of the twisted windows at offset 3."""
+    return quotient_series("u", order)
 
 
 def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both doubling-conjecture quotients, (A, B), over one inverse of the
     Stern series."""
-    return div_exact_many((_a_numerator(order), _b_numerator(order)), stern_series(order + 2))
-
-
-def _compare_prefix(report: VerificationReport, got: TruncatedSeries, want, tag: str) -> None:
-    for i, expected in enumerate(want):
-        report.record(got.coeff(i) == expected, (tag, i, got.coeff(i), expected))
+    return div_exact_many((_window("A", 0, order + 1), _window("B", 0, order + 1)),
+                          stern_series(order + 2))
 
 
 def _compare_sides(report: VerificationReport, e: int, sides) -> None:
@@ -729,74 +725,54 @@ def _compare_sides(report: VerificationReport, e: int, sides) -> None:
             for n in range(len(sides[0][0].coeffs)) for lhs, rhs in sides))
 
 
+def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> VerificationReport:
+    """Evidence sweep of the window forms `names`, whose quotients
+    `quotients(order)` returns in that order: the leading coefficients of
+    each, then, for e <= e_max, W_e against (-1)^(e*alternating) Q(z^(2^e)) S
+    coefficient-exactly to order - reach*2^e, with reach the largest offset
+    a of the forms."""
+    forms = [WINDOW_FORMS[name] for name in names]
+    if e_max < 0:
+        raise ValueError("e_max must be a natural number")
+    reach = max(a for terms, _, _ in forms for _, _, a in terms)
+    if order < reach << e_max:
+        raise ValueError(f"order must be at least {reach}*2^e_max")
+    least = max(len(lead) for _, _, lead in forms) - 1
+    if order < least:
+        raise ValueError(f"order must be at least {least} "
+                         f"to check the leading coefficients of {' and '.join(names)}")
+    report = VerificationReport(
+        identity, params=f"e <= {e_max}, order {order}", conjecture=True
+    )
+    try:
+        qs = quotients(order)
+    except DivisionError as exc:
+        report.record_failure(("division", 0, str(exc), "integral quotient"))
+        return report
+    for name, q, (_, _, lead) in zip(names, qs, forms):
+        for i, want in enumerate(lead):
+            report.record(q.coeffs[i] == want, (f"{name}-prefix", i, q.coeffs[i], want))
+    s = stern_series(order)
+    for e in range(e_max + 1):
+        cutoff = order - (reach << e)
+        sides = []
+        for name, q, (_, alternating, _) in zip(names, qs, forms):
+            rhs = substitute_power(q, 1 << e, cutoff) * s
+            sides.append((_window(name, e, cutoff), -rhs if alternating and e % 2 else rhs))
+        _compare_sides(report, e, sides)
+    return report
+
+
 def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep: one integral quotient u reproduces the twisted series
     over every window [3*2^e, ...] as (-1)^e u(z^(2^e)) times the Stern
     series, coefficient-exactly to order-3*2^e."""
-    if e_max < 0:
-        raise ValueError("e_max must be a natural number")
-    if order < 3 << e_max:
-        raise ValueError("order must be at least 3*2^e_max")
-    if order < len(EXPECTED_GEN_QUOTIENT) - 1:
-        raise ValueError(f"order must be at least {len(EXPECTED_GEN_QUOTIENT) - 1} "
-                         "to check the leading coefficients of u")
-    report = VerificationReport(
-        "CONJ-GEN", params=f"e <= {e_max}, order {order}", conjecture=True
-    )
-    try:
-        u = gen_quotient_series(order)
-    except DivisionError as exc:
-        report.record_failure(("division", 0, str(exc), "integral quotient"))
-        return report
-    _compare_prefix(report, u, EXPECTED_GEN_QUOTIENT, "u-prefix")
-    s = stern_series(order)
-    for e in range(e_max + 1):
-        m = 3 << e
-        cutoff = order - m
-        lhs = window_series(Kind.TWISTED, m, order + 1)
-        rhs = substitute_power(u, 1 << e, cutoff) * s
-        if e % 2:
-            rhs = -rhs
-        _compare_sides(report, e, [(lhs, rhs)])
-    return report
+    return _conjecture("CONJ-GEN", ("u",), lambda n: (gen_quotient_series(n),), e_max, order)
 
 
 def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep for the doubling-step quotients A and B over e <= e_max."""
-    if e_max < 0:
-        raise ValueError("e_max must be a natural number")
-    if order < 2 << e_max:
-        raise ValueError("order must be at least 2^(e_max+1)")
-    least = max(len(EXPECTED_AB_A), len(EXPECTED_AB_B)) - 1
-    if order < least:
-        raise ValueError(f"order must be at least {least} "
-                         "to check the leading coefficients of A and B")
-    report = VerificationReport(
-        "CONJ-AB", params=f"e <= {e_max}, order {order}", conjecture=True
-    )
-    try:
-        a, b = ab_quotient_series(order)
-    except DivisionError as exc:
-        report.record_failure(("division", 0, str(exc), "integral quotient"))
-        return report
-    _compare_prefix(report, a, EXPECTED_AB_A, "A-prefix")
-    _compare_prefix(report, b, EXPECTED_AB_B, "B-prefix")
-    s = stern_series(order)
-    for e in range(e_max + 1):
-        step = 1 << e
-        cutoff = order - 2 * step
-        lhs_a = window_series(Kind.STERN, 2 * step, order + 1) - window_series(
-            Kind.STERN, step, step + cutoff + 1
-        )
-        lhs_b = window_series(Kind.TWISTED, 2 * step, order + 1) + window_series(
-            Kind.TWISTED, step, step + cutoff + 1
-        )
-        if (e + 1) % 2:
-            lhs_b = -lhs_b
-        a_sub = substitute_power(a, step, cutoff)
-        b_sub = substitute_power(b, step, cutoff)
-        _compare_sides(report, e, [(lhs_a, a_sub * s), (lhs_b, b_sub * s)])
-    return report
+    return _conjecture("CONJ-AB", ("A", "B"), ab_quotient_series, e_max, order)
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,20 @@ def test_traced_cli_request_runs(tmp_path):
     layers = json.loads(trace.read_text())["layers"]
     assert len(layers) == LAYERS and "sequences.value" in layers
     assert layers["cli.run"]["calls"] == 1
+
+
+def test_traced_quotient_is_one_division(tmp_path):
+    trace = tmp_path / "lib.json"
+    done = _worker(["lib", "--trace", str(trace)], json.dumps(["gen_quotient_series 1024"]) + "\n")
+    assert done.returncode == 0, done.stderr
+    division = json.loads(trace.read_text())["layers"]["series.div_exact"]
+    assert (division["calls"], division["coeffs"]) == (1, 1025)
+
+
+def test_traced_conjecture_is_one_sweep(tmp_path):
+    trace = tmp_path / "cli.json"
+    done = _worker(["cli", "--trace", str(trace), "--",
+                    "conjecture", "--which", "ab", "--max-e", "2", "--order", "64"])
+    assert done.returncode == 0, done.stderr
+    assert "CONJ-AB" in done.stdout
+    assert json.loads(trace.read_text())["layers"]["verify.conjecture"]["calls"] == 1

@@ -270,6 +270,12 @@ def test_conjecture(capsys):
 @pytest.mark.parametrize("e_max", [0, 1])
 def test_conjecture_below_the_checked_prefix_names_the_least_order(capsys, which, window, least,
                                                                    e_max):
+    # orders below the window bound window*2^e_max name that bound
+    for order in range(window << e_max):
+        code = run(["conjecture", "--which", which, "--max-e", str(e_max), "--order", str(order)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"conjecture: order must be at least {window}*2^e_max\n"
     # orders from the window bound window*2^e_max on still miss the leading
     # quotient coefficients the sweep compares, up to `least`
     for order in range(window << e_max, least):
