@@ -19,6 +19,7 @@ from .series import (
     TruncatedSeries,
     derivative,
     div_exact,
+    div_stern,
     infinite_product,
     log_derivative,
     substitute_power,
@@ -159,11 +160,12 @@ def degree_reduce(system: AffineSystem) -> AffineSystem:
 
 
 def h_series(order: int) -> TruncatedSeries:
-    """Logarithmic derivative of the shifted Stern series, computed two
-    independent ways (direct exact division; affine fixed point) and
-    cross-checked before being returned."""
+    """Logarithmic derivative S'/S of the shifted Stern series, computed two
+    independent ways (direct exact division through the product form of S;
+    affine fixed point) and cross-checked before being returned."""
     shifted = window_series(Kind.STERN, 1, order + 3)
-    direct = log_derivative(shifted)
+    # z*S' over the Stern series z*S
+    direct = div_stern(derivative(shifted).shift(1))
     inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), order)
     system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])
     fixed = solve_affine_system(system, order)[0]

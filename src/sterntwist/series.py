@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import decimal
 import struct
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, index, itemgetter, mul, neg, sub
 
 from .sequences import (
@@ -48,10 +48,11 @@ class InternalCheckError(RuntimeError):
 # Karp-Markstein: the inverse to h = ceil((n+1)/2) coefficients is the
 # quotient of 1 by the denominator one level down, and the upper half of the
 # quotient comes from the remainder the lower half leaves.  Each level makes
-# two dense products with a half-length operand per numerator, on the
-# precisions ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or
-# the denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
-# schoolbook loops are faster and run instead.
+# two dense products with a half-length operand, on the precisions
+# ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or the
+# denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
+# schoolbook loops are faster and run instead.  Division by the Stern series
+# needs no product at all: `div_stern` walks Carlitz's product form.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -168,11 +169,10 @@ def _mul_coeffs(a, b, n: int) -> list[int]:
     return _schoolbook_mul(a, b, n)
 
 
-def _quotients(nums, d, n: int) -> list[list[int]]:
-    """Coefficients 0..n of m/d for each integer sequence m in `nums`, with
+def _quotient(m, d, n: int) -> list[int]:
+    """Coefficients 0..n of m/d for integer sequences m and d with
     d[0] = +-1, by recursive Karp-Markstein: g = 1/d to h = ceil((n+1)/2)
-    coefficients is itself the quotient of 1 by d, one level down, and that
-    one g serves every numerator.
+    coefficients is itself the quotient of 1 by d, one level down.
 
         q0 = m*g mod z^h,  r = (m - d*q0)[h..n],  q = q0 + z^h * (g*r mod z^(n+1-h))
 
@@ -181,17 +181,14 @@ def _quotients(nums, d, n: int) -> list[list[int]]:
     precisions ceil((n+1)/2^i) down to n = 0, where q = m[0]*d[0].
     """
     if n == 0:
-        return [[m[0] * d[0]] for m in nums]
+        return [m[0] * d[0]]
     h = (n + 2) // 2
-    g = _quotients([[1] + [0] * (h - 1)], d, h - 1)[0]
-    out = []
-    for m in nums:
-        q = _mul_coeffs(m, g, h - 1)
-        dq = _mul_coeffs(d, q, n)
-        r = list(map(sub, m[h : n + 1], dq[h:]))
-        q += _mul_coeffs(g, r, n - h)
-        out.append(q)
-    return out
+    g = _quotient([1] + [0] * (h - 1), d, h - 1)
+    q = _mul_coeffs(m, g, h - 1)
+    dq = _mul_coeffs(d, q, n)
+    r = list(map(sub, m[h : n + 1], dq[h:]))
+    q += _mul_coeffs(g, r, n - h)
+    return q
 
 
 def _padded(cs: tuple, order: int) -> tuple:
@@ -316,47 +313,64 @@ def div_exact(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
     The lowest nonzero denominator coefficient must be +-1: a quotient
     needing non-integer coefficients is an error.  A dense denominator is
-    divided into by recursive Karp-Markstein (`_quotients`); otherwise the
+    divided into by recursive Karp-Markstein (`_quotient`); otherwise the
     quotient comes from the term-by-term recurrence.
     """
-    return div_exact_many((num,), den)[0]
-
-
-def div_exact_many(nums, den: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
-    """The exact quotients num/den for each num in `nums`, as div_exact,
-    each known to the smallest order of all the operands; a dense
-    denominator is inverted once for all of them."""
     v = den.valuation()
     if v is None:
         raise DivisionError("division by the zero series")
-    for num in nums:
-        if any(num.coeffs[i] for i in range(min(v, num.order + 1))):
-            raise DivisionError("numerator valuation is below denominator valuation")
+    if any(num.coeffs[i] for i in range(min(v, num.order + 1))):
+        raise DivisionError("numerator valuation is below denominator valuation")
     lead = den.coeffs[v]
     if lead not in (1, -1):
         raise DivisionError(
             f"denominator leading coefficient {lead!r} is not a unit of the integer ring"
         )
-    n_out = min(min(num.order for num in nums), den.order) - v
+    n_out = min(num.order, den.order) - v
     if n_out < 0:
         raise DivisionError("operand orders are too small for the quotient")
-    ms = [num.coeffs[v:] for num in nums]
+    m = num.coeffs[v:]
     d = den.coeffs[v:]
     den_terms = [(j, d[j]) for j in range(1, n_out + 1) if d[j]]
     if len(den_terms) > SPARSE_TERMS:
-        return tuple(TruncatedSeries(tuple(q)) for q in _quotients(ms, d, n_out))
-    out = []
-    for m in ms:
-        q = []
-        for n in range(n_out + 1):
-            acc = m[n]
-            for j, dj in den_terms:
-                if j > n:
-                    break
-                acc = acc - q[n - j] * dj
-            q.append(acc * lead)  # lead is +-1, its own inverse
-        out.append(TruncatedSeries(tuple(q)))
-    return tuple(out)
+        return TruncatedSeries(tuple(_quotient(m, d, n_out)))
+    q = []
+    for n in range(n_out + 1):
+        acc = m[n]
+        for j, dj in den_terms:
+            if j > n:
+                break
+            acc = acc - q[n - j] * dj
+        q.append(acc * lead)  # lead is +-1, its own inverse
+    return TruncatedSeries(tuple(q))
+
+
+def div_stern(num: TruncatedSeries) -> TruncatedSeries:
+    """div_exact(num, stern_series(num.order + 1)), errors included, through
+    Carlitz's product: the Stern series is z times the product over m = 2^k
+    of 1 + z^m + z^(2m) = (1 - z^(3m))/(1 - z^m).  Dividing by a factor with
+    m <= n is one strided subtraction (times 1 - z^m), then running sums
+    with stride L = 3m (over 1 - z^L): one `accumulate` per residue class
+    while L^2 <= n, else one addition of each length-L block to the next,
+    whichever takes fewer slices.  O(n log n) slice work, no product.
+    """
+    if num.coeffs[0]:
+        raise DivisionError("numerator valuation is below denominator valuation")
+    n = num.order - 1
+    if n < 0:
+        raise DivisionError("operand orders are too small for the quotient")
+    q = list(num.coeffs[1:])
+    for k in range(n.bit_length()):
+        m = 1 << k
+        q[m:] = map(sub, q[m:], q[: n + 1 - m])
+        step = 3 * m
+        if step * step <= n:
+            for r in range(step):
+                q[r::step] = accumulate(q[r::step])
+        else:
+            for j in range(step, n + 1, step):
+                q[j : j + step] = map(add, q[j : j + step], q[j - step : j])
+    return TruncatedSeries(tuple(q))
 
 
 def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
@@ -493,21 +507,11 @@ def carlitz_series(order: int) -> TruncatedSeries:
     return prod.shift(1)
 
 
-def _plus_trinomial(i: int) -> DensePolynomial:
-    """1 + z^{2^i} + z^{2^{i+1}}."""
-    out = [0] * (2 ** (i + 1) + 1)
-    out[0] = 1
-    out[2**i] = 1
-    out[2 ** (i + 1)] = 1
-    return DensePolynomial(tuple(out))
-
-
-def _minus_trinomial(i: int) -> DensePolynomial:
-    """1 - z^{2^i} + z^{2^{i+1}}."""
-    out = [0] * (2 ** (i + 1) + 1)
-    out[0] = 1
-    out[2**i] = -1
-    out[2 ** (i + 1)] = 1
+def _sparse_poly(terms: dict) -> DensePolynomial:
+    """The sum of c*z^k over the items k: c of `terms`."""
+    out = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        out[k] = c
     return DensePolynomial(tuple(out))
 
 
@@ -534,12 +538,9 @@ def psi_factored_plain(e: int) -> DensePolynomial:
     """z(1+z^{2^e}) times the product of 1+z^{2^i}+z^{2^{i+1}} for i < e."""
     if e < 0:
         raise ValueError("e must be a natural number")
-    binom = [0] * (2**e + 1)
-    binom[0] = 1
-    binom[2**e] = 1
-    acc = DensePolynomial(tuple(binom)).shift(1)
+    acc = _sparse_poly({1: 1, 2**e + 1: 1})
     for i in range(e):
-        acc = acc * _plus_trinomial(i)
+        acc = acc * _sparse_poly({0: 1, 2**i: 1, 2 ** (i + 1): 1})
     return acc
 
 
@@ -548,13 +549,10 @@ def psi_factored_signed(e: int) -> DensePolynomial:
     (1-z^{2^i}+z^{2^{i+1}})^{e-1-i}."""
     if e < 0:
         raise ValueError("e must be a natural number")
-    binom = [0] * (2**e + 1)
-    binom[0] = 1
-    binom[2**e] = 1
-    acc = DensePolynomial(tuple(binom)).shift(1)
+    acc = _sparse_poly({1: 1, 2**e + 1: 1})
     acc = acc * DensePolynomial((1, 1, 1)) ** e
     for i in range(e - 1):
-        acc = acc * _minus_trinomial(i) ** (e - 1 - i)
+        acc = acc * _sparse_poly({0: 1, 2**i: -1, 2 ** (i + 1): 1}) ** (e - 1 - i)
     return acc
 
 

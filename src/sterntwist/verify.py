@@ -29,8 +29,7 @@ from .sequences import MAX_TABLE, Frozen, Kind, prefix, stern, twisted
 from .series import (
     DivisionError,
     TruncatedSeries,
-    div_exact,
-    div_exact_many,
+    div_stern,
     stern_series,
     substitute_power,
     window_series,
@@ -698,8 +697,9 @@ def _window(name: str, e: int, order: int) -> TruncatedSeries:
 
 
 def quotient_series(name: str, order: int) -> TruncatedSeries:
-    """The integral quotient Q = W_0/S of the window form `name`."""
-    return div_exact(_window(name, 0, order + 1), stern_series(order + 2))
+    """The integral quotient Q = W_0/S of the window form `name`, through
+    the product form of S."""
+    return div_stern(_window(name, 0, order + 1))
 
 
 def gen_quotient_series(order: int) -> TruncatedSeries:
@@ -708,10 +708,8 @@ def gen_quotient_series(order: int) -> TruncatedSeries:
 
 
 def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both doubling-conjecture quotients, (A, B), over one inverse of the
-    Stern series."""
-    return div_exact_many((_window("A", 0, order + 1), _window("B", 0, order + 1)),
-                          stern_series(order + 2))
+    """Both doubling-conjecture quotients, (A, B)."""
+    return quotient_series("A", order), quotient_series("B", order)
 
 
 def _compare_sides(report: VerificationReport, e: int, sides) -> None:

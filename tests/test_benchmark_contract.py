@@ -62,12 +62,13 @@ def test_traced_cli_request_runs(tmp_path):
     assert layers["cli.run"]["calls"] == 1
 
 
-def test_traced_quotient_is_one_division(tmp_path):
+def test_traced_quotient_makes_no_general_division(tmp_path):
+    # u divides by the Stern series through its product form, not div_exact
     trace = tmp_path / "lib.json"
     done = _worker(["lib", "--trace", str(trace)], json.dumps(["gen_quotient_series 1024"]) + "\n")
     assert done.returncode == 0, done.stderr
     division = json.loads(trace.read_text())["layers"]["series.div_exact"]
-    assert (division["calls"], division["coeffs"]) == (1, 1025)
+    assert (division["calls"], division["coeffs"]) == (0, 0)
 
 
 def test_traced_conjecture_is_one_sweep(tmp_path):

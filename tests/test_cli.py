@@ -14,6 +14,7 @@ import sterntwist
 import sterntwist.cli as cli
 import sterntwist.regularity as regularity
 import sterntwist.series as series
+import sterntwist.verify as verify
 from sterntwist.cli import MAX_ORDER, ORDER_ENV_VAR, BFileFormatError, parse_bfile, run
 from sterntwist.regularity import h_series
 from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
@@ -75,39 +76,58 @@ def test_series_output(capsys):
     assert json.loads(out)["coefficients"] == ["1", "-2", "-2", "4", "0", "0", "6", "-6"]
 
 
-def count_quotient_calls(monkeypatch):
-    """(numerator count, n) of every `_quotients` call, recursive ones too."""
+def count_stern_divisions(monkeypatch):
+    """The orders of every `div_stern` call the window forms make; any
+    Karp-Markstein division (`_quotient`) fails the test."""
     calls = []
-    quotients = series._quotients
+    div_stern = verify.div_stern
 
-    def counted(nums, d, n):
-        calls.append((len(nums), n))
-        return quotients(nums, d, n)
+    def counted(num):
+        calls.append(num.order)
+        return div_stern(num)
 
-    monkeypatch.setattr(series, "_quotients", counted)
+    def refused(*args):
+        raise AssertionError("a quotient by the Stern series took Karp-Markstein division")
+
+    monkeypatch.setattr(verify, "div_stern", counted)
+    monkeypatch.setattr(series, "_quotient", refused)
     return calls
 
 
-#: The n of each level of a recursive division to 301 coefficients.
-CHAIN_300 = [300, 150, 75, 37, 18, 9, 4, 2, 1, 0]
-
-
 @pytest.mark.parametrize("name", ["u", "A", "B"])
-def test_quotient_series_invert_the_stern_series_once(monkeypatch, capsys, name):
-    calls = count_quotient_calls(monkeypatch)
+def test_quotient_series_divide_through_the_product_form(monkeypatch, capsys, name):
+    calls = count_stern_divisions(monkeypatch)
     code, out = invoke(capsys, ["series", "--name", name, "--order", "300"])
     assert code == 0 and out
-    # one recursion chain: below the top every level divides only the unit
-    # numerator, the inverse to 151 coefficients first
-    assert calls == [(1, 300)] + [(1, n) for n in CHAIN_300[1:]]
+    assert calls == [301]
 
 
-def test_conjecture_ab_inverts_the_stern_series_once(monkeypatch, capsys):
-    calls = count_quotient_calls(monkeypatch)
+def test_conjecture_ab_divides_through_the_product_form(monkeypatch, capsys):
+    calls = count_stern_divisions(monkeypatch)
     code, out = invoke(capsys, ["conjecture", "--which", "ab", "--max-e", "3", "--order", "300"])
     assert code == 0 and "CONJ-AB" in out
-    # A and B share one chain
-    assert calls == [(2, 300)] + [(1, n) for n in CHAIN_300[1:]]
+    # one division each for A and B
+    assert calls == [301, 301]
+
+
+@pytest.mark.parametrize("which", ["gen", "ab"])
+def test_conjecture_multiplies_back_a_wrong_division(monkeypatch, capsys, which):
+    # one wrong coefficient of each quotient, past the leading ones: the
+    # e = 0 window, Q*s by the product kernel, disagrees from z^41 on
+    div_stern = verify.div_stern
+
+    def wrong(num):
+        q = div_stern(num).coeffs
+        return series.TruncatedSeries(q[:40] + (q[40] + 1,) + q[41:])
+
+    monkeypatch.setattr(verify, "div_stern", wrong)
+    code, out = invoke(capsys, ["conjecture", "--which", which, "--max-e", "3",
+                                "--order", "200", "--format", "json"])
+    payload = json.loads(out)
+    # conjecture evidence never flips the exit code
+    assert code == 0 and payload["failures"] > 0
+    e, n, lhs, rhs = payload["counterexamples"][0]
+    assert (e, n, rhs - lhs) == (0, 41, 1)
 
 
 def test_series_psi_needs_e(capsys):

@@ -4,6 +4,8 @@ The schoolbook product and the term-by-term division recurrence below are the
 reference: Kronecker products, through CPython ints or through libmpdec, and
 recursive Karp-Markstein division must reproduce them exactly on every
 operand shape, including both sides of the sparse and the transform cutoffs.
+Division by the Stern series through Carlitz's product must in turn
+reproduce Karp-Markstein division.
 """
 import decimal
 import random
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 import sterntwist.sequences as sequences
 import sterntwist.series as series
+import sterntwist.verify as verify
 from sterntwist.regularity import AffineSystem, expand_rational, solve_affine_system
-from sterntwist.sequences import stern
+from sterntwist.sequences import Kind, stern
 from sterntwist.series import (
     SPARSE_TERMS,
     TRANSFORM_LENGTH,
@@ -348,26 +351,22 @@ def _inverse_newton(d, n):
     return g
 
 
-def _quotients_newton(nums, d, n):
-    """The dense quotients as the former route formed them: the Newton
-    inverse to h = ceil((n+1)/2) coefficients, then one Karp-Markstein step
-    per numerator."""
+def _quotient_newton(m, d, n):
+    """The dense quotient as the former route formed it: the Newton inverse
+    to h = ceil((n+1)/2) coefficients, then one Karp-Markstein step."""
     h = (n + 2) // 2
     g = _inverse_newton(d, h - 1)
-    out = []
-    for m in nums:
-        q = series._mul_coeffs(m, g, h - 1)
-        if n >= h:
-            dq = series._mul_coeffs(d, q, n)
-            r = [x - y for x, y in zip(m[h : n + 1], dq[h:])]
-            q += series._mul_coeffs(g, r, n - h)
-        out.append(q)
-    return out
+    q = series._mul_coeffs(m, g, h - 1)
+    if n >= h:
+        dq = series._mul_coeffs(d, q, n)
+        r = [x - y for x, y in zip(m[h : n + 1], dq[h:])]
+        q += series._mul_coeffs(g, r, n - h)
+    return q
 
 
 def unit_quotient(d, n):
-    """Coefficients 0..n of 1/d through `_quotients`."""
-    return series._quotients([[1] + [0] * n], d, n)[0]
+    """Coefficients 0..n of 1/d through `_quotient`."""
+    return series._quotient([1] + [0] * n, d, n)
 
 
 def _inverse_doubling(d, n):
@@ -425,7 +424,7 @@ def test_newton_and_karp_markstein_at_powers_of_two(length):
     n = length - 1
     m, d = dense_operands(length, length, lead=(-1) ** length)
     assert unit_quotient(d, n) == _inverse_doubling(d, n) == _inverse_newton(d, n)
-    q = series._quotients([m], d, n)[0]
+    q = series._quotient(m, d, n)
     assert_quotient(q, m, d, n)
     if length <= 130:
         assert q == schoolbook_div(m, d, n)
@@ -466,7 +465,8 @@ def test_karp_markstein_matches_the_oracles(m_tail, d_tail, lead, n):
     want = schoolbook_div(m, d, n)
     assert unit_quotient(d, n) == _inverse_doubling(d, n) == _inverse_newton(d, n)
     assert _divide_doubling(m, d, n) == want
-    assert series._quotients([m, d], d, n) == [want, [1] + [0] * n]
+    assert series._quotient(m, d, n) == want
+    assert series._quotient(d, d, n) == [1] + [0] * n
 
 
 def test_newton_steps_never_overshoot_the_target(monkeypatch):
@@ -491,23 +491,24 @@ def test_newton_steps_never_overshoot_the_target(monkeypatch):
     assert g == _inverse_doubling(d, 8192) == _inverse_newton(d, 8192)
 
 
-def test_one_inverse_serves_every_numerator(monkeypatch):
+def test_dense_division_is_one_recursion_chain(monkeypatch):
     calls = []
-    quotients = series._quotients
+    quotient = series._quotient
 
-    def counted(nums, d, n):
-        calls.append((len(nums), n))
-        return quotients(nums, d, n)
+    def counted(m, d, n):
+        calls.append(n)
+        return quotient(m, d, n)
 
-    monkeypatch.setattr(series, "_quotients", counted)
+    monkeypatch.setattr(series, "_quotient", counted)
     den = TruncatedSeries.from_coeffs([stern(n) for n in range(402)])
-    nums = [TruncatedSeries.from_coeffs([0] + [stern(n + k) for n in range(401)]) for k in (2, 3, 5)]
-    got = series.div_exact_many(nums, den)
-    # one recursion chain: the three numerators at the top, then the unit
-    # numerator on each level below, the inverse to 201 coefficients first
-    assert calls == [(3, 400)] + [(1, n) for n in (200, 100, 50, 25, 12, 6, 3, 1, 0)]
-    assert got == tuple(div_exact(num, den) for num in nums)
-    assert all(q.order == 400 for q in got)
+    for k in (2, 3, 5):
+        num = TruncatedSeries.from_coeffs([0] + [stern(n + k) for n in range(401)])
+        calls.clear()
+        got = div_exact(num, den)
+        # the numerator at the top, then the unit numerator on each level
+        # below, the inverse to 201 coefficients first
+        assert calls == [400, 200, 100, 50, 25, 12, 6, 3, 1, 0]
+        assert got.order == 400 and got == series.div_stern(num)
 
 
 @pytest.mark.parametrize("length", [1023, 1024, 2048, 2049, 4097, 8193])
@@ -530,6 +531,72 @@ def test_dense_division_makes_the_newton_routes_products(monkeypatch, length, le
     got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
     new_calls = calls[:]
     calls.clear()
-    want = _quotients_newton([m], d, n)[0]
+    want = _quotient_newton(m, d, n)
     assert calls and new_calls == calls
     assert list(got.coeffs) == want
+
+
+# ---------------------------------------------------------------------------
+# Division by the Stern series through Carlitz's product against
+# Karp-Markstein division.
+# ---------------------------------------------------------------------------
+
+
+def stern_numerators(order):
+    """What the package divides by the Stern series, each known to
+    order + 1: the windows W_0 of u, A and B, and z*S' for the direct route
+    of H (S the shifted Stern series)."""
+    nums = {name: verify._window(name, 0, order + 1) for name in verify.WINDOW_FORMS}
+    nums["H"] = series.derivative(series.window_series(Kind.STERN, 1, order + 3)).shift(1)
+    return nums
+
+
+def assert_stern_division(orders):
+    """div_stern of every numerator cut to each order against the prefix of
+    one Karp-Markstein quotient at the largest order: exact quotients of
+    prefixes are prefixes."""
+    top = max(orders)
+    for name, num in stern_numerators(top).items():
+        want = div_exact(num, series.stern_series(top + 2)).coeffs
+        for order in orders:
+            got = series.div_stern(TruncatedSeries(num.coeffs[: order + 2]))
+            assert got.coeffs == want[: order + 1], (name, order)
+
+
+def test_stern_division_at_every_order_to_600():
+    assert_stern_division(range(601))
+
+
+#: Quotient orders n around each switch of a stride L = 3*2^k from running
+#: sums per residue class (L^2 <= n) to block adds, then a stride to 5000.
+SWITCH_ORDERS = [L * L + j for L in (3, 6, 12, 24, 48, 96) for j in (-1, 0, 1)]
+
+
+def test_stern_division_at_the_switch_points_and_on_a_stride():
+    assert_stern_division(SWITCH_ORDERS + list(range(601, 5000, 97)))
+
+
+def test_stern_division_at_65536():
+    num = stern_numerators(65536)["u"]
+    assert series.div_stern(num) == div_exact(num, series.stern_series(65537))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_seqs(), st.integers(0, 300))
+def test_stern_division_matches_karp_markstein(m_tail, n):
+    m = (m_tail * (n + 1))[: n + 1]
+    d = [stern(k + 1) for k in range(n + 1)]
+    got = series.div_stern(TruncatedSeries((0, *m)))
+    assert list(got.coeffs) == series._quotient(m, d, n)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((1,), "numerator valuation is below denominator valuation"),
+    ((-3, 4, 5), "numerator valuation is below denominator valuation"),
+    ((0,), "operand orders are too small for the quotient"),
+])
+def test_stern_division_refuses_as_div_exact_does(coeffs, message):
+    num = TruncatedSeries(coeffs)
+    for divide in (series.div_stern, lambda a: div_exact(a, series.stern_series(a.order + 1))):
+        with pytest.raises(DivisionError, match=message):
+            divide(num)

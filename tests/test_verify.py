@@ -10,6 +10,7 @@ import sterntwist
 from sterntwist.columns import Column, Span
 from sterntwist.series import (
     DensePolynomial,
+    DivisionError,
     TruncatedSeries,
     div_exact,
     log_derivative,
@@ -529,6 +530,19 @@ def test_conjecture_gen_failures_walk_the_points(monkeypatch):
                 want.append((e, n, lhs, right))
     assert want and (report.passes, report.failures) == (passes, len(want))
     assert report.counterexamples == want
+
+
+def test_a_form_with_a_nonzero_constant_window_has_no_integral_quotient(monkeypatch):
+    # W_0 = sum of s(n+1)*z^n opens with s(1) = 1, below the valuation 1 of
+    # the Stern series: the division refuses it, and the sweep records that
+    # as its one failure
+    monkeypatch.setitem(verify.WINDOW_FORMS, "u", (((1, Kind.STERN, 1),), True, (1,)))
+    message = "numerator valuation is below denominator valuation"
+    with pytest.raises(DivisionError, match=message):
+        verify.quotient_series("u", 64)
+    report = check_conjecture_gen(2, 64)
+    assert (report.passes, report.failures) == (0, 1)
+    assert report.counterexamples == [("division", 0, message, "integral quotient")]
 
 
 def test_conjecture_ab_failures_walk_the_points(monkeypatch):

@@ -1,5 +1,6 @@
 """The conjecture window forms of `verify.WINDOW_FORMS` against point
-lookups, and the CLI outputs that read them pinned byte for byte."""
+lookups, and the CLI outputs that read them, with H, the other quotient by
+the Stern series, pinned byte for byte."""
 import hashlib
 
 import pytest
@@ -73,6 +74,18 @@ STDOUT_DIGESTS = {
     "series --name B --order 1024 --format json": "fa0f026a2ed7491b",
     "series --name B --order 4100 --format text": "30ed7e44ac5a1514",
     "series --name B --order 4100 --format json": "20813f651603ef6c",
+    "series --name H --order 0 --format text": "4355a46b19d348dc",
+    "series --name H --order 0 --format json": "409c62d2f9fb3146",
+    "series --name H --order 1 --format text": "a697ef26533be2e3",
+    "series --name H --order 1 --format json": "1870af4b767f7613",
+    "series --name H --order 2 --format text": "338c41ec5a275937",
+    "series --name H --order 2 --format json": "39972bdf5dd66534",
+    "series --name H --order 127 --format text": "cb5542f078dabd35",
+    "series --name H --order 127 --format json": "ab2f3ff15700d2e5",
+    "series --name H --order 1024 --format text": "18b96b3a7b50624c",
+    "series --name H --order 1024 --format json": "37c42b6828de02f2",
+    "series --name H --order 4100 --format text": "6b98229157830588",
+    "series --name H --order 4100 --format json": "3a35c1400a1a4e04",
     "conjecture --which gen --max-e 0 --order 12 --format table": "aca267fef6a83f90",
     "conjecture --which gen --max-e 0 --order 12 --format json": "4b31ba151ed1ce16",
     "conjecture --which gen --max-e 3 --order 24 --format table": "201cd39856f3f101",
