@@ -453,9 +453,7 @@ class DensePolynomial(IntPolynomial):
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("polynomial powers need a natural exponent")
-        result = DensePolynomial._of_ints((1,))
-        base = self
-        e = exponent
+        result, base, e = DensePolynomial._of_ints((1,)), self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -572,15 +570,12 @@ def twisted_series_expansion(order: int) -> TruncatedSeries:
     sum of (-1)^e z^{3*2^e} psi_e(z), with psi_e from its plain product
     factorisation.  Must match twisted_series."""
     out = [0] * (order + 1)
-    if order >= 1:
-        out[1] += 1
-    if order >= 2:
-        out[2] -= 1
+    out[1:3] = (1, -1)[:order]
     e = 0
     while 3 * 2**e + 1 <= order:
         shift = 3 * 2**e
-        sign = -1 if e % 2 else 1
-        for i, c in enumerate(psi_factored_plain(e).coeffs[: order - shift + 1]):
-            out[shift + i] += sign * c
+        part = psi_factored_plain(e).coeffs[: order - shift + 1]
+        span = slice(shift, shift + len(part))
+        out[span] = map(sub if e % 2 else add, out[span], part)
         e += 1
     return TruncatedSeries(tuple(out))

@@ -31,7 +31,6 @@ from .series import (
     TruncatedSeries,
     div_stern,
     stern_series,
-    substitute_power,
     window_series,
 )
 
@@ -290,21 +289,17 @@ class VerificationReport:
             self.record_failure(example)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "id": self.identity,
             "params": self.params,
             "status": self.status,
             "passes": self.passes,
             "failures": self.failures,
             "counterexamples": [list(c) for c in self.counterexamples],
-            "scanned_range": (
-                {str(e): dict(r) for e, r in self.scanned.items()}
-                if self.scanned is not None
-                else None
-            ),
+            "scanned_range": None if self.scanned is None else {
+                str(e): dict(r) for e, r in self.scanned.items()},
             "conjecture": self.conjecture,
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -320,9 +315,7 @@ class VerificationReport:
                 for e, r in sorted(self.scanned.items())
             )
             extra += f" scanned({ranges})"
-        flags = []
-        if self.conjecture:
-            flags.append("conjecture")
+        flags = ["conjecture"] if self.conjecture else []
         if self.status != AS_PRINTED:
             flags.append(self.status)
         tag = f" [{','.join(flags)}]" if flags else ""
@@ -723,12 +716,23 @@ def _compare_sides(report: VerificationReport, e: int, sides) -> None:
             for n in range(len(sides[0][0].coeffs)) for lhs, rhs in sides))
 
 
+def _doubled(r: TruncatedSeries, n: int) -> TruncatedSeries:
+    """(z^-1 + 1 + z) r(z^2) to order n, for r(0) = 0 known to (n+1)//2."""
+    p, out = r.coeffs, [0] * (n + 1)
+    out[0::2] = p[: n // 2 + 1]
+    out[1::2] = map(add, p[: (n + 1) // 2], p[1 : (n + 1) // 2 + 1])
+    return TruncatedSeries(tuple(out))
+
+
 def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> VerificationReport:
     """Evidence sweep of the window forms `names`, whose quotients
     `quotients(order)` returns in that order: the leading coefficients of
     each, then, for e <= e_max, W_e against (-1)^(e*alternating) Q(z^(2^e)) S
     coefficient-exactly to order - reach*2^e, with reach the largest offset
-    a of the forms."""
+    a of the forms.  The right side R_0 = Q S is one product with the
+    table-read S, so it checks the division.  S(z) = (z^-1 + 1 + z) S(z^2),
+    as s(0) = 0, s(2n) = s(n) and s(2n+1) = s(n) + s(n+1); so, exactly and
+    for any Q, R_{e+1}(z) = (z^-1 + 1 + z) R_e(z^2), which `_doubled` forms."""
     forms = [WINDOW_FORMS[name] for name in names]
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
@@ -750,14 +754,15 @@ def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> Veri
     for name, q, (_, _, lead) in zip(names, qs, forms):
         for i, want in enumerate(lead):
             report.record(q.coeffs[i] == want, (f"{name}-prefix", i, q.coeffs[i], want))
-    s = stern_series(order)
+    s = stern_series(order - reach)
+    rhs = [q.truncate(order - reach) * s for q in qs]
     for e in range(e_max + 1):
         cutoff = order - (reach << e)
-        sides = []
-        for name, q, (_, alternating, _) in zip(names, qs, forms):
-            rhs = substitute_power(q, 1 << e, cutoff) * s
-            sides.append((_window(name, e, cutoff), -rhs if alternating and e % 2 else rhs))
-        _compare_sides(report, e, sides)
+        rhs = [_doubled(r, cutoff) if e else r for r in rhs]
+        _compare_sides(report, e, [
+            (_window(name, e, cutoff), -r if alternating and e % 2 else r)
+            for name, r, (_, alternating, _) in zip(names, rhs, forms)
+        ])
     return report
 
 

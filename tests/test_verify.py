@@ -1,12 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sterntwist
+import sterntwist.series as series
 from sterntwist.columns import Column, Span
 from sterntwist.series import (
     DensePolynomial,
@@ -14,6 +18,7 @@ from sterntwist.series import (
     TruncatedSeries,
     div_exact,
     log_derivative,
+    stern_series,
     substitute_power,
 )
 from sterntwist.sequences import Kind, mod2, stern, twisted, v2
@@ -573,6 +578,128 @@ def test_conjecture_ab_failures_walk_the_points(monkeypatch):
                     want.append((e, n, lhs, right))
     assert want and (report.passes, report.failures) == (passes, len(want))
     assert report.counterexamples == want
+
+
+def _oracle_right_side(q, e, cutoff, order):
+    """Q(z^(2^e)) S to `cutoff` as one product per e: the route the sweeps
+    took before they doubled R_e, kept as the oracle of the doubling."""
+    return substitute_power(q, 1 << e, cutoff) * stern_series(order)
+
+
+def _oracle_sweep(identity, names, qs, e_max, order):
+    """The whole conjecture sweep with `_oracle_right_side` as every right
+    side, records in the same order as `verify._conjecture`."""
+    forms = [verify.WINDOW_FORMS[name] for name in names]
+    reach = max(a for terms, _, _ in forms for _, _, a in terms)
+    report = VerificationReport(identity, params=f"e <= {e_max}, order {order}", conjecture=True)
+    for name, q, (_, _, lead) in zip(names, qs, forms):
+        for i, want in enumerate(lead):
+            report.record(q.coeffs[i] == want, (f"{name}-prefix", i, q.coeffs[i], want))
+    for e in range(e_max + 1):
+        cutoff = order - (reach << e)
+        sides = []
+        for name, q, (_, alternating, _) in zip(names, qs, forms):
+            rhs = _oracle_right_side(q, e, cutoff, order)
+            sides.append((verify._window(name, e, cutoff), -rhs if alternating and e % 2 else rhs))
+        verify._compare_sides(report, e, sides)
+    return report
+
+
+@pytest.mark.parametrize("reach", [2, 3])
+@settings(max_examples=5, deadline=None)
+@given(q0=st.integers(-(1 << 64), 1 << 64), bits=st.sampled_from([0, 1, 8, 64]),
+       seed=st.integers(0, 1 << 32))
+def test_doubled_right_sides_match_one_product_per_e(reach, q0, bits, seed):
+    # R_0 = Q S is one product; each R_e after it comes from R_(e-1) by the
+    # Stern recursion, and must equal Q(z^(2^e)) S as its own product, for
+    # any integer Q (any constant term, both signs, coefficients to 2^64),
+    # at every e <= e_max <= 10 on orders from the refusal bound reach*2^e_max
+    # to bound + 3, and at 1024 and 4096
+    rnd = random.Random(seed)
+    q = TruncatedSeries((q0,) + tuple(rnd.randint(-(1 << bits), 1 << bits) for _ in range(4096)))
+    orders = {(reach << e_max) + d for e_max in range(11) for d in range(4)} | {1024, 4096}
+    for order in sorted(orders):
+        r = q.truncate(order - reach) * stern_series(order - reach)
+        for e in range(min(10, (order // reach).bit_length() - 1) + 1):
+            cutoff = order - (reach << e)
+            if e:
+                r = verify._doubled(r, cutoff)
+            assert r.coeffs == _oracle_right_side(q, e, cutoff, order).coeffs, (order, e)
+
+
+#: check, identity, window forms and reach of both sweeps
+_SWEEPS = {
+    "gen": (check_conjecture_gen, "CONJ-GEN", ("u",), 3),
+    "ab": (check_conjecture_ab, "CONJ-AB", ("A", "B"), 2),
+}
+
+
+def _pin_quotients(monkeypatch, names, order):
+    """The quotients of `names` to `order`, which the sweeps then read in
+    place of dividing; the dict may be changed before the sweep runs."""
+    pinned = {name: verify.quotient_series(name, order) for name in names}
+    monkeypatch.setattr(verify, "quotient_series", lambda name, o: pinned[name])
+    return pinned
+
+
+@pytest.mark.parametrize("which", ["gen", "ab"])
+@pytest.mark.parametrize("e_max, order", [(0, 12), (3, 27), (4, 49), (6, 195), (8, 1024), (9, 1536)])
+@pytest.mark.parametrize("index", [None, 0, 5, 40, -1])
+def test_conjecture_reports_match_the_product_per_e_sweep(monkeypatch, which, e_max, order, index):
+    # the same records, in the same order, as the sweep that formed each
+    # right side as its own product, for the true quotients and for ones
+    # with one coefficient perturbed (index -1: the last one the sweep sees,
+    # order - reach - 1, as R_0's coefficient order - reach is q's times s(0) = 0)
+    check, identity, names, reach = _SWEEPS[which]
+    pinned = _pin_quotients(monkeypatch, names, order)
+    if index is not None:
+        at = min(order - reach - 1, order if index < 0 else index)
+        name = names[at % len(names)]
+        pinned[name] = _perturbed(pinned[name], at)
+    monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", 10 ** 6)  # keep every record
+    got = check(e_max, order)
+    qs = [pinned[name] for name in names]
+    assert got.to_json() == _oracle_sweep(identity, names, qs, e_max, order).to_json()
+    assert got.ok == (index is None)
+
+
+@pytest.mark.parametrize("which", ["gen", "ab"])
+@pytest.mark.parametrize("e_max", [0, 1, 5, 9])
+def test_a_sweep_makes_one_product_per_quotient(monkeypatch, which, e_max):
+    # only R_0 is a product; no right side divides or walks Carlitz's product
+    check, _, names, reach = _SWEEPS[which]
+    order = max(1024, 3 << e_max)
+    _pin_quotients(monkeypatch, names, order)
+    products = []
+    mul = series._mul_coeffs
+    monkeypatch.setattr(series, "_mul_coeffs", lambda a, b, n: products.append(n) or mul(a, b, n))
+
+    def refuse(*args):
+        raise AssertionError("a right side took a route through the product form")
+
+    for module, name in ((verify, "div_stern"), (series, "div_stern"),
+                         (series, "infinite_product"), (series, "carlitz_series")):
+        monkeypatch.setattr(module, name, refuse)
+    assert check(e_max, order).ok
+    assert products == [order - reach] * len(names)
+
+
+@pytest.mark.parametrize("which", ["gen", "ab"])
+@pytest.mark.parametrize("k", [1, 2, 17, 300, 1021])
+def test_a_corrupted_stern_coefficient_is_the_first_counterexample(monkeypatch, which, k):
+    # S is read from the tables for R_0 only; one wrong s(k) shows at e = 0,
+    # n = k, with the right side one more than the window (each Q opens with 1)
+    check, _, names, _ = _SWEEPS[which]
+
+    def corrupted(order):
+        cs = list(stern_series(order).coeffs)
+        cs[k] += 1
+        return TruncatedSeries(tuple(cs))
+
+    monkeypatch.setattr(verify, "stern_series", corrupted)
+    report = check(2, 1024)
+    lhs = verify._window(names[0], 0, k).coeffs[k]
+    assert report.counterexamples[0] == (0, k, lhs, lhs + 1)
 
 
 #: Runs every range builder over s and t in a fresh interpreter and prints
