@@ -435,6 +435,18 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
+    """Coefficients 0..n of cs * poly(z^step), for a short poly: one strided
+    slice update per nonzero c_j, which adds c_j * cs at j*step (j = 0 onto zeros)."""
+    out = [0] * (n + 1)
+    for j, c in enumerate(poly):
+        lo, k = j * step, min(len(cs), n + 1 - j * step)
+        if c and k > 0:
+            part = cs[:k] if c == 1 else map(mul, cs[:k], repeat(c))
+            out[lo : lo + k] = map(add, out[lo : lo + k], part) if j else part
+    return out
+
+
 class DensePolynomial(IntPolynomial):
     """Dense integer polynomial in z; products go through the series kernel."""
 
@@ -472,12 +484,11 @@ def infinite_product(poly: DensePolynomial, k: int, order: int) -> TruncatedSeri
         raise ValueError("product base must be at least 2")
     if poly.coeffs[0] != 1:
         raise ValueError("infinite products need a polynomial with P(0) = 1")
-    acc = TruncatedSeries.one(order)
-    step = 1
+    acc, step = [1], 1
     while step <= order:
-        acc = acc * substitute_power(poly.to_series(order // step), step, order)
+        acc = _times_sparse(acc, poly.coeffs, step, min(order, len(acc) - 1 + step * poly.degree))
         step *= k
-    return acc
+    return TruncatedSeries(_padded(tuple(acc), order))
 
 
 def window_series(kind: Kind, start: int, stop: int) -> TruncatedSeries:
@@ -501,8 +512,7 @@ def carlitz_series(order: int) -> TruncatedSeries:
     the Stern value s(n)."""
     if order == 0:
         return TruncatedSeries.zero(0)
-    prod = infinite_product(DensePolynomial((1, 1, 1)), 2, order - 1)
-    return prod.shift(1)
+    return infinite_product(DensePolynomial((1, 1, 1)), 2, order - 1).shift(1)
 
 
 def _sparse_poly(terms: dict) -> DensePolynomial:
@@ -536,10 +546,11 @@ def psi_factored_plain(e: int) -> DensePolynomial:
     """z(1+z^{2^e}) times the product of 1+z^{2^i}+z^{2^{i+1}} for i < e."""
     if e < 0:
         raise ValueError("e must be a natural number")
-    acc = _sparse_poly({1: 1, 2**e + 1: 1})
+    acc = [1]
     for i in range(e):
-        acc = acc * _sparse_poly({0: 1, 2**i: 1, 2 ** (i + 1): 1})
-    return acc
+        acc = _times_sparse(acc, (1, 1, 1), 1 << i, len(acc) - 1 + (2 << i))
+    acc = _times_sparse([0] + acc, (1, 1), 1 << e, len(acc) + (1 << e))
+    return DensePolynomial._of_ints(tuple(acc))
 
 
 def psi_factored_signed(e: int) -> DensePolynomial:
@@ -547,11 +558,10 @@ def psi_factored_signed(e: int) -> DensePolynomial:
     (1-z^{2^i}+z^{2^{i+1}})^{e-1-i}."""
     if e < 0:
         raise ValueError("e must be a natural number")
-    acc = _sparse_poly({1: 1, 2**e + 1: 1})
-    acc = acc * DensePolynomial((1, 1, 1)) ** e
+    acc = DensePolynomial((1, 1, 1)) ** e
     for i in range(e - 1):
         acc = acc * _sparse_poly({0: 1, 2**i: -1, 2 ** (i + 1): 1}) ** (e - 1 - i)
-    return acc
+    return acc * _sparse_poly({1: 1, 2**e + 1: 1})
 
 
 def psi(e: int) -> DensePolynomial:

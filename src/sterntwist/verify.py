@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import reduce
 from itertools import chain, repeat
 from operator import add, and_, mul, sub
 from typing import Callable
@@ -684,9 +683,14 @@ WINDOW_FORMS = {
 
 
 def _window(name: str, e: int, order: int) -> TruncatedSeries:
-    """W_e of the window form `name`, to `order`."""
-    return reduce(add, (window_series(kind, a << e, (a << e) + order + 1).scale(c)
-                        for c, kind, a in WINDOW_FORMS[name][0]))
+    """W_e of the window form `name`, to `order`.  Each term is added or,
+    for c < 0, subtracted as read; only an |c| other than 1 scales it."""
+    out = None
+    for c, kind, a in WINDOW_FORMS[name][0]:
+        w = window_series(kind, a << e, (a << e) + order + 1)
+        w = w if abs(c) == 1 else w.scale(abs(c))
+        out = (w if c > 0 else -w) if out is None else (out + w if c > 0 else out - w)
+    return out
 
 
 def quotient_series(name: str, order: int) -> TruncatedSeries:

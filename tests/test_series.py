@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sterntwist.series as series
 from sterntwist.ratwords import LinearRepresentation
 from sterntwist.regularity import AffineSystem, exact_rank
-from sterntwist.sequences import W, WeightPolynomial, stern, twisted
+from sterntwist.sequences import W, WeightPolynomial, _schoolbook_mul, stern, twisted
 from sterntwist.series import (
     DensePolynomial,
     DivisionError,
     TruncatedSeries,
+    _sparse_poly,
+    _times_sparse,
     carlitz_series,
     derivative,
     div_exact,
@@ -206,6 +209,78 @@ def test_infinite_product_matches_the_polynomial_substitution(coeffs, k):
     for order in [*range(301), 1023, 1024, 4096]:
         got = infinite_product(poly, k, order).coeffs
         assert got == _infinite_product_by_polynomials(poly, k, order).coeffs, order
+
+
+@st.composite
+def sparse_products(draw):
+    """(cs, poly, step, n): cs of both signs up to 2^64 with zeros, a short
+    poly with zero and non-unit coefficients, n from 0 to past
+    len(cs) + degree*step, and step from 1 to n + 2."""
+    cs = draw(st.lists(st.one_of(st.just(0), st.integers(-(1 << 64), 1 << 64)), max_size=24))
+    poly = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    n = draw(st.integers(0, len(cs) + 4 * len(poly) + 4))
+    return cs, poly, draw(st.integers(1, n + 2)), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_products())
+def test_times_sparse_matches_the_product_with_the_substituted_poly(args):
+    cs, poly, step, n = args
+    substituted = [0] * ((len(poly) - 1) * step + 1)
+    substituted[::step] = poly
+    got = _times_sparse(cs, poly, step, n)
+    assert got == _schoolbook_mul(cs, substituted, n)
+    assert len(got) == n + 1
+
+
+@pytest.mark.parametrize("cs, poly, step, n, want", [
+    ([5, -7], (1, 1, 1), 3, 0, [5]),  # n = 0
+    ([5, -7], (2, 0, -1), 4, 3, [10, -14, 0, 0]),  # n < step: only the lowest term
+    ([1, 2, 3], (1, 1), 2, 9, [1, 2, 4, 2, 3, 0, 0, 0, 0, 0]),  # n past the product
+    ([1, 2, 3], (0, 1), 1, 3, [0, 1, 2, 3]),  # no constant term
+])
+def test_times_sparse_at_the_edges(cs, poly, step, n, want):
+    assert _times_sparse(cs, poly, step, n) == want
+
+
+def _psi_factored_plain_by_kernel(e):
+    """The former plain route to psi_e, kept as the oracle: each sparse
+    factor goes through the product kernel, the long z(1+z^{2^e}) first."""
+    acc = _sparse_poly({1: 1, 2**e + 1: 1})
+    for i in range(e):
+        acc = acc * _sparse_poly({0: 1, 2**i: 1, 2 ** (i + 1): 1})
+    return acc
+
+
+def test_psi_plain_route_matches_the_kernel_route():
+    for e in range(15):
+        assert psi_factored_plain(e).coeffs == _psi_factored_plain_by_kernel(e).coeffs, e
+
+
+def test_carlitz_series_is_the_stern_series():
+    for order in [*range(4101), 1 << 18]:
+        assert carlitz_series(order).coeffs == stern_series(order).coeffs, order
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(series, name)
+    monkeypatch.setattr(series, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_sparse_routes_stay_off_the_product_kernel(monkeypatch):
+    # the plain route and Carlitz's product multiply by slices; the signed
+    # route and the table window never do, so psi's three routes stay apart
+    kernel, slices = _spy(monkeypatch, "_mul_coeffs"), _spy(monkeypatch, "_times_sparse")
+    psi_factored_plain(9)
+    carlitz_series(1024)
+    infinite_product(DensePolynomial((1, 2, 0, 3, 1)), 3, 500)
+    assert kernel == [] and slices
+    slices.clear()
+    psi_factored_signed(9)
+    psi_from_twisted(9)
+    assert slices == [] and kernel
 
 
 def test_infinite_product():

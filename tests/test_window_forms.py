@@ -7,7 +7,7 @@ import pytest
 
 import sterntwist.verify as verify
 from sterntwist.cli import run
-from sterntwist.sequences import stern, twisted
+from sterntwist.sequences import Kind, stern, twisted
 from sterntwist.series import TruncatedSeries, div_exact
 
 #: Each form's window coefficient n at step 2^e, written out by hand.
@@ -112,6 +112,23 @@ def test_windows_match_point_lookups(name, e):
     order = 150
     got = verify._window(name, e, order)
     assert got.coeffs == tuple(coeff(1 << e, n) for n in range(order + 1))
+
+
+def test_windows_scale_only_coefficients_other_than_one(monkeypatch):
+    # the terms of u, A and B have c = +-1, so their windows take no scale pass
+    scaled = []
+    scale = TruncatedSeries.scale
+    monkeypatch.setattr(TruncatedSeries, "scale", lambda self, c: scaled.append(c) or scale(self, c))
+    for name in ("u", "A", "B"):
+        verify._window(name, 3, 100)
+    assert scaled == []
+    # any other c still scales, and its sign picks the addition or subtraction
+    terms = ((-3, Kind.TWISTED, 2), (1, Kind.STERN, 1), (2, Kind.STERN, 3), (-1, Kind.TWISTED, 1))
+    monkeypatch.setitem(verify.WINDOW_FORMS, "X", (terms, False, (1,)))
+    got = verify._window("X", 2, 50)
+    assert got.coeffs == tuple(-3 * twisted(8 + n) + stern(4 + n) + 2 * stern(12 + n)
+                               - twisted(4 + n) for n in range(51))
+    assert scaled == [3, 2]
 
 
 @pytest.mark.parametrize("order", [0, 1, 6, 7, 12, 100])
