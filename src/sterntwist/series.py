@@ -7,7 +7,6 @@ prefix, so a result can never silently claim more precision than it has.
 """
 from __future__ import annotations
 
-import decimal
 import struct
 from itertools import accumulate, repeat
 from operator import add, index, itemgetter, mul, neg, sub
@@ -36,23 +35,17 @@ class InternalCheckError(RuntimeError):
 #
 # Integer products go through Kronecker substitution: both operands are packed
 # into one big number each, multiplied once, and the product is read back slot
-# by slot.  There are two exact routes for that one multiply.  Below
-# TRANSFORM_LENGTH the slots are bytes of a CPython int, which multiplies by
-# Karatsuba, O(n^1.58).  From TRANSFORM_LENGTH on they are digits of a
-# `decimal.Decimal`, which libmpdec multiplies by a number-theoretic transform,
-# O(n log n), in a context with prec = MAX_PREC, Emax = MAX_EMAX and Inexact
-# and Rounded trapped: the product is exact or an exception, never rounded.
-# Without libmpdec (a `decimal` that is not the C build) the int route runs at
-# every length.  Importing `decimal` takes about 2.3 ms (CPython 3.11.7).
-# Division by a dense series with a +-1 lead to n+1 coefficients is recursive
-# Karp-Markstein: the inverse to h = ceil((n+1)/2) coefficients is the
-# quotient of 1 by the denominator one level down, and the upper half of the
-# quotient comes from the remainder the lower half leaves.  Each level makes
-# two dense products with a half-length operand, on the precisions
-# ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or the
+# by slot.  The slots are bytes of a CPython int, which multiplies by
+# Karatsuba, O(n^1.58).  Division by a dense series with a +-1 lead to n+1
+# coefficients is recursive Karp-Markstein: the inverse to h = ceil((n+1)/2)
+# coefficients is the quotient of 1 by the denominator one level down, and the
+# upper half of the quotient comes from the remainder the lower half leaves.
+# Each level makes two dense products with a half-length operand, on the
+# precisions ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or the
 # denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
-# schoolbook loops are faster and run instead.  Division by the Stern series
-# needs no product at all: `div_stern` walks Carlitz's product form.
+# schoolbook loops are faster and run instead.  The Stern series needs no
+# product at all: `div_stern` divides by it through Carlitz's product form,
+# and `mul_stern` multiplies by it through its Mahler equation.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -61,32 +54,6 @@ class InternalCheckError(RuntimeError):
 #: division stays ahead of the dense route well past that, and the
 #: denominators in use have at most two tail terms or are dense.
 SPARSE_TERMS = 32
-
-#: Shortest length of the shorter dense operand that takes the libmpdec
-#: route.  On the division products of h_series (coefficients of 8-58 bits;
-#: 2 vCPUs, CPython 3.11.7, libmpdec 2.5.1) the libmpdec route took
-#: 1.2-1.45x the int route's time at length 1024, was about even at 2048
-#: (0.96-1.2x as fast), and was 1.8x as fast at 4096 and 3-3.7x at
-#: 8192-16384.  Packing and reading back cost about the same per
-#: coefficient on both routes, so with coefficients under ~12 bits the
-#: break-even moves up to about 4096.
-TRANSFORM_LENGTH = 2048
-
-#: Largest coefficient bound, in bits, that the libmpdec route takes.  Its
-#: slots go through str and int, which CPython refuses past 4300 digits by
-#: default (sys.get_int_max_str_digits); 13000 bits is at most 3914 digits.
-#: Wider products take the int route.
-SLOT_BITS = 13_000
-
-#: libmpdec is there only in the C build of `decimal`.
-_LIBMPDEC = hasattr(decimal, "__libmpdec_version__")
-
-#: The context of the libmpdec route, whatever the caller's context is: any
-#: result that would be rounded raises instead, and the exponent limit does
-#: not stop a product past the default 999,999 digits.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
-)
 
 
 def _kron_mul(a, b, n: int) -> list[int]:
@@ -119,43 +86,10 @@ def _kron_mul(a, b, n: int) -> list[int]:
     return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
 
 
-def _decimal_mul(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b for integer sequences, by Kronecker
-    substitution in base B = 10^width, multiplied by libmpdec.
-
-    The slots are those of `_kron_mul` written in decimal: each holds a
-    coefficient plus half = 5*10^(width-1).  The width keeps every
-    coefficient below 4*10^(width-1) in magnitude, so every biased slot has
-    exactly `width` digits.  The traps make the product exact or an
-    exception.  Adding B^top, with top at least both the product's slot
-    count and n+1, keeps the sum positive (|a*b| < B^top) and changes no
-    slot 0..n, so the last n+1 slots of its digit string are the biased
-    coefficients 0..n.
-    """
-    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
-    if bound.bit_length() > SLOT_BITS:
-        return _kron_mul(a, b, n)
-    width = len(str(bound // 4)) + 1
-    half = 5 * 10 ** (width - 1)
-    half_digits = str(half)
-
-    def pack(cs) -> decimal.Decimal:
-        biased = "".join([str(c + half) for c in reversed(cs)])
-        return decimal.Decimal(biased) - decimal.Decimal(half_digits * len(cs))
-
-    top = max(len(a) + len(b) - 1, n + 1)
-    offset = decimal.Decimal("1" + "0" * (width * (top - n - 1)) + half_digits * (n + 1))
-    with decimal.localcontext(_EXACT):
-        digits = str(pack(a) * pack(b) + offset)
-    tail = digits[len(digits) - width * (n + 1) :].encode()
-    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", tail))
-    return list(map(sub, map(int, slots), repeat(half)))[::-1]
-
-
 def _mul_coeffs(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b: Kronecker for dense operands, through
-    libmpdec once the shorter one reaches TRANSFORM_LENGTH, the schoolbook
-    loop otherwise."""
+    """Coefficients 0..n of a*b: Kronecker over CPython ints when both
+    operands have more than SPARSE_TERMS nonzero coefficients, the
+    schoolbook loop otherwise."""
     a = a[: n + 1]
     b = b[: n + 1]
     na = len(a) - a.count(0)
@@ -163,8 +97,6 @@ def _mul_coeffs(a, b, n: int) -> list[int]:
     if na > nb:
         a, b, na = b, a, nb
     if na > SPARSE_TERMS:
-        if _LIBMPDEC and min(len(a), len(b)) >= TRANSFORM_LENGTH:
-            return _decimal_mul(a, b, n)
         return _kron_mul(a, b, n)
     return _schoolbook_mul(a, b, n)
 
@@ -373,6 +305,43 @@ def div_stern(num: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(q))
 
 
+#: s(0..15), the Stern series that `mul_stern` multiplies by below order 16.
+_STERN_HEAD = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4)
+
+
+def _times_stern(cs, n: int) -> list[int]:
+    """Coefficients 0..n of cs*S, S the Stern series.  Since s(0) = 0, the
+    product's coefficient k reads cs only below k, so a short cs is read as
+    padded with zeros."""
+    if n < len(_STERN_HEAD):
+        out = [0] * (n + 1)
+        for i, c in enumerate(cs[:n]):
+            if c:
+                for k in range(i + 1, n + 1):
+                    out[k] += c * _STERN_HEAD[k - i]
+        return out
+    even = _times_stern(cs[0::2], (n + 1) // 2)  # T[2j]
+    odd = _times_stern(cs[1::2], n // 2)  # T[2j+1]
+    pair = list(map(add, even, odd))  # T[2j] + T[2j+1]
+    out = [0] * (n + 1)
+    out[0::2] = map(add, pair, [0] + odd)  # + T[2j-1]
+    out[1::2] = map(add, pair, even[1:])  # + T[2j+2]
+    return out
+
+
+def mul_stern(q: TruncatedSeries) -> TruncatedSeries:
+    """q * stern_series(q.order), through the Mahler equation
+    S(z) = (z^-1 + 1 + z) S(z^2), which s(0) = 0, s(2n) = s(n) and
+    s(2n+1) = s(n) + s(n+1) give.  With q = q_e(z^2) + z q_o(z^2),
+    q S = (z^-1 + 1 + z) T for T = (q_e S)(z^2) + z (q_o S)(z^2): two
+    half-order products give T's even and odd coefficients, and
+    coefficient k of q S is T[k-1] + T[k] + T[k+1], three slice sums that
+    share the pairs T[2j] + T[2j+1].  Below order 16 the product is a
+    schoolbook loop over `_STERN_HEAD`.  O(n log n) slice work; no product
+    kernel, no table read."""
+    return TruncatedSeries(tuple(_times_stern(q.coeffs, q.order)))
+
+
 def substitute_power(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
     """a(z^k).  Coefficient k*i holds a's coefficient i, everything else is
     zero; the result is known through k*order(a) + k - 1.  With k = 1 it is
@@ -469,8 +438,9 @@ class DensePolynomial(IntPolynomial):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def to_series(self, order: int) -> TruncatedSeries:

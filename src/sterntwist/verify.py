@@ -29,7 +29,7 @@ from .series import (
     DivisionError,
     TruncatedSeries,
     div_stern,
-    stern_series,
+    mul_stern,
     window_series,
 )
 
@@ -733,10 +733,11 @@ def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> Veri
     `quotients(order)` returns in that order: the leading coefficients of
     each, then, for e <= e_max, W_e against (-1)^(e*alternating) Q(z^(2^e)) S
     coefficient-exactly to order - reach*2^e, with reach the largest offset
-    a of the forms.  The right side R_0 = Q S is one product with the
-    table-read S, so it checks the division.  S(z) = (z^-1 + 1 + z) S(z^2),
-    as s(0) = 0, s(2n) = s(n) and s(2n+1) = s(n) + s(n+1); so, exactly and
-    for any Q, R_{e+1}(z) = (z^-1 + 1 + z) R_e(z^2), which `_doubled` forms."""
+    a of the forms.  The right side R_0 = Q S is one `mul_stern`, which walks
+    the Mahler equation of S, not the product form that divided, so it
+    checks the division.  S(z) = (z^-1 + 1 + z) S(z^2), as s(0) = 0,
+    s(2n) = s(n) and s(2n+1) = s(n) + s(n+1); so, exactly and for any Q,
+    R_{e+1}(z) = (z^-1 + 1 + z) R_e(z^2), which `_doubled` forms."""
     forms = [WINDOW_FORMS[name] for name in names]
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
@@ -758,8 +759,7 @@ def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> Veri
     for name, q, (_, _, lead) in zip(names, qs, forms):
         for i, want in enumerate(lead):
             report.record(q.coeffs[i] == want, (f"{name}-prefix", i, q.coeffs[i], want))
-    s = stern_series(order - reach)
-    rhs = [q.truncate(order - reach) * s for q in qs]
+    rhs = [mul_stern(q.truncate(order - reach)) for q in qs]
     for e in range(e_max + 1):
         cutoff = order - (reach << e)
         rhs = [_doubled(r, cutoff) if e else r for r in rhs]

@@ -113,7 +113,7 @@ def test_conjecture_ab_divides_through_the_product_form(monkeypatch, capsys):
 @pytest.mark.parametrize("which", ["gen", "ab"])
 def test_conjecture_multiplies_back_a_wrong_division(monkeypatch, capsys, which):
     # one wrong coefficient of each quotient, past the leading ones: the
-    # e = 0 window, Q*s by the product kernel, disagrees from z^41 on
+    # e = 0 window, Q*s through the Mahler equation, disagrees from z^41 on
     div_stern = verify.div_stern
 
     def wrong(num):
@@ -628,12 +628,14 @@ def test_exit_code_contract(argv):
 def test_cli_import_loads_no_unneeded_modules():
     # series are integer-only, so nothing on the CLI's import path needs
     # rational arithmetic; the classes are plain slotted ones, so neither
-    # dataclasses nor the inspect it pulls in is needed.  -S keeps the
-    # imports of `site` out, which could load or hide any of them.
+    # dataclasses nor the inspect it pulls in is needed; products take
+    # CPython ints, so neither decimal nor the numbers it pulls in is.  -S
+    # keeps the imports of `site` out, which could load or hide any of them.
     src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sterntwist.cli; "
             "print(sterntwist.cli.__file__); "
-            "print(sorted({'fractions', 'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'fractions', 'dataclasses', 'inspect', 'decimal', 'numbers'}"
+            " & set(sys.modules)))")
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, src],
         capture_output=True, text=True, timeout=60,

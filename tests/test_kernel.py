@@ -1,13 +1,12 @@
 """Differential tests of the integer coefficient kernel.
 
 The schoolbook product and the term-by-term division recurrence below are the
-reference: Kronecker products, through CPython ints or through libmpdec, and
-recursive Karp-Markstein division must reproduce them exactly on every
-operand shape, including both sides of the sparse and the transform cutoffs.
-Division by the Stern series through Carlitz's product must in turn
-reproduce Karp-Markstein division.
+reference: Kronecker products over CPython ints and recursive Karp-Markstein
+division must reproduce them exactly on every operand shape, including both
+sides of the sparse cutoff.  Division by the Stern series through Carlitz's
+product must in turn reproduce Karp-Markstein division, and multiplication
+by it through its Mahler equation must reproduce the Kronecker product.
 """
-import decimal
 import random
 
 import pytest
@@ -18,10 +17,9 @@ import sterntwist.sequences as sequences
 import sterntwist.series as series
 import sterntwist.verify as verify
 from sterntwist.regularity import AffineSystem, expand_rational, solve_affine_system
-from sterntwist.sequences import Kind, stern
+from sterntwist.sequences import Kind, prefix, stern
 from sterntwist.series import (
     SPARSE_TERMS,
-    TRANSFORM_LENGTH,
     DensePolynomial,
     DivisionError,
     TruncatedSeries,
@@ -115,9 +113,12 @@ def test_series_mul_matches_schoolbook(a, b):
 @example([1, 0, 2], [3, 4], 1)
 def test_sparse_schoolbook_matches_the_double_loop(a, b, n):
     # both routes of the schoolbook loop: over all of a dense `b`, and over
-    # the listed nonzero terms of one with zeros, cut at n
+    # the listed nonzero terms of one with zeros, cut at n; and the Kronecker
+    # route, also with n + 1 past the product's slots, whose top slots must
+    # read 0
     assert sequences._schoolbook_mul(a, b, n) == schoolbook_mul(a, b, n)
     assert sequences._schoolbook_mul(b, a, n) == schoolbook_mul(b, a, n)
+    assert series._kron_mul(a, b, n) == schoolbook_mul(a, b, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,115 +219,6 @@ def test_h_series_newton_route_matches_fixed_point_at_order_2_pow_14():
     fixed = solve_affine_system(AffineSystem.of(2, [inhom], [[(0, 2)]], [1]), order)[0]
     assert direct.order == fixed.order == order
     assert direct == fixed
-
-
-needs_libmpdec = pytest.mark.skipif(
-    not series._LIBMPDEC, reason="decimal is not the C build with libmpdec"
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(coeff_seqs(), coeff_seqs(), st.integers(0, 210))
-@example([0, 0, 0], [5, -7], 4)
-@example([-(1 << 70), 3], [1 << 65, -1, 2], 9)
-def test_decimal_mul_matches_kron_and_schoolbook(a, b, n):
-    # negative, zero and 130-bit coefficients, and n + 1 past the product's
-    # len(a) + len(b) - 1 slots, whose top slots must read 0
-    a, b = a[: n + 1], b[: n + 1]
-    want = schoolbook_mul(a, b, n)
-    assert series._kron_mul(a, b, n) == want
-    assert series._decimal_mul(a, b, n) == want
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("top", [10**6 - 1, 10**6, 10**21 - 1, 10**21])
-def test_decimal_slots_hold_the_extreme_coefficients(sign, top):
-    # the extreme coefficient 4*top^2 sits just below the 4*10^(width-1) that
-    # makes the slot one digit wider (top = 10^j - 1), or exactly on it
-    a = [top] * 4
-    b = [sign * top] * 4
-    for n in (3, 6, 9):
-        got = series._decimal_mul(a, b, n)
-        assert got == schoolbook_mul(a, b, n)
-        assert got[3] == sign * 4 * top * top
-
-
-def test_decimal_mul_hands_slots_past_the_str_limit_to_ints(monkeypatch):
-    # a 4500-digit coefficient bound would need int/str conversions that
-    # CPython refuses by default
-    kron = count_kron_calls(monkeypatch)
-    a = [10**2250 + 1, -3, 7]
-    b = [-(10**2250) + 9, 5]
-    assert series._decimal_mul(a, b, 4) == schoolbook_mul(a, b, 4)
-    assert kron == [4]
-
-
-@needs_libmpdec
-@settings(max_examples=12, deadline=None)
-@given(
-    st.integers(TRANSFORM_LENGTH - 2, TRANSFORM_LENGTH + 1),
-    st.integers(TRANSFORM_LENGTH - 2, TRANSFORM_LENGTH + 600),
-    st.sampled_from([3, 40, 70]),
-    st.integers(0, 2**32),
-)
-def test_transform_cutoff_routes_and_results(len_a, len_b, bits, seed):
-    rng = random.Random(seed)
-    a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(len_a)]
-    b = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(len_b)]
-    n = len(a) + len(b) - 2
-    pa, pb = DensePolynomial(tuple(a)), DensePolynomial(tuple(b))
-    with pytest.MonkeyPatch.context() as mp:
-        dec = count_calls(mp, "_decimal_mul")
-        kron = count_kron_calls(mp)
-        got = pa * pb
-    # the route follows the operands as stored, trailing zeros trimmed
-    transform = min(len(pa.coeffs), len(pb.coeffs)) >= TRANSFORM_LENGTH
-    assert (len(dec), len(kron)) == ((1, 0) if transform else (0, 1))
-    want = series._kron_mul(a, b, n) if transform else series._decimal_mul(a, b, n)
-    assert list(got.coeffs) == want[: len(got.coeffs)]
-    assert not any(want[len(got.coeffs):])
-    for k in (0, 1, len(a) - 1, rng.randrange(n + 1), n):
-        assert want[k] == spot_coeff(a, b, k)
-
-
-@needs_libmpdec
-def test_series_products_at_the_transform_cutoff_match_schoolbook(monkeypatch):
-    dec = count_calls(monkeypatch, "_decimal_mul")
-    rng = random.Random(7)
-    for length in (TRANSFORM_LENGTH - 1, TRANSFORM_LENGTH):
-        a = [rng.randrange(-(1 << 66), 1 << 66) for _ in range(length)]
-        b = [stern(i + 1) for i in range(length)]
-        got = TruncatedSeries.from_coeffs(a) * TruncatedSeries.from_coeffs(b)
-        assert list(got.coeffs) == schoolbook_mul(a, b, length - 1)
-    assert dec == [TRANSFORM_LENGTH - 1]
-
-
-@needs_libmpdec
-def test_decimal_mul_past_the_default_exponent_limit():
-    # 2 * 8000 slots of 77 digits: 1.2 million digits in the product, past
-    # the default context's Emax of 999,999; the caller's own context, here
-    # a rounding one, must not matter
-    rng = random.Random(11)
-    a = [rng.randrange(-(1 << 120), 1 << 120) for _ in range(8000)]
-    b = [rng.randrange(-(1 << 120), 1 << 120) for _ in range(8000)]
-    n = 15998
-    with decimal.localcontext(decimal.Context(prec=28, traps=[])):
-        got = series._decimal_mul(a, b, n)
-    assert got == series._kron_mul(a, b, n)
-    for k in (0, 7999, 8000, rng.randrange(n + 1), n):
-        assert got[k] == spot_coeff(a, b, k)
-
-
-def test_int_route_without_libmpdec(monkeypatch):
-    monkeypatch.setattr(series, "_LIBMPDEC", False)
-    dec = count_calls(monkeypatch, "_decimal_mul")
-    kron = count_kron_calls(monkeypatch)
-    length = 2 * TRANSFORM_LENGTH
-    num = TruncatedSeries.from_coeffs([stern(i + 2) for i in range(length)])
-    den = TruncatedSeries.from_coeffs([stern(i + 1) for i in range(length)])
-    got = div_exact(num, den) * den
-    assert got == num
-    assert kron and not dec
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +322,10 @@ def test_newton_and_karp_markstein_at_powers_of_two(length):
         assert q == schoolbook_div(m, d, n)
 
 
-@pytest.mark.parametrize(
-    "length",
-    [TRANSFORM_LENGTH - 1, TRANSFORM_LENGTH, TRANSFORM_LENGTH + 1, TRANSFORM_LENGTH + 2,
-     2 * TRANSFORM_LENGTH + 1],
-)
+@pytest.mark.parametrize("length", [2047, 2048, 2049, 2050, 4097])
 @pytest.mark.parametrize("lead", [1, -1])
 def test_dense_division_on_both_sides_of_the_transform_cutoff(length, lead):
+    # 2048 is where a second product route, through libmpdec, once took over
     n = length - 1
     m, d = dense_operands(length, 3 * length + lead, lead=lead, bits=20)
     assert unit_quotient(d, n) == _inverse_doubling(d, n)
@@ -520,14 +409,13 @@ def test_dense_division_makes_the_newton_routes_products(monkeypatch, length, le
     n = length - 1
     m, d = dense_operands(length, 5 * length + lead, lead=lead, bits=20)
     calls = []
-    for name in ("_kron_mul", "_decimal_mul"):
-        route = getattr(series, name)
+    route = series._kron_mul
 
-        def recorded(a, b, n, name=name, route=route):
-            calls.append((name, tuple(a), tuple(b), n))
-            return route(a, b, n)
+    def recorded(a, b, n):
+        calls.append((tuple(a), tuple(b), n))
+        return route(a, b, n)
 
-        monkeypatch.setattr(series, name, recorded)
+    monkeypatch.setattr(series, "_kron_mul", recorded)
     got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
     new_calls = calls[:]
     calls.clear()
@@ -600,3 +488,48 @@ def test_stern_division_refuses_as_div_exact_does(coeffs, message):
     for divide in (series.div_stern, lambda a: div_exact(a, series.stern_series(a.order + 1))):
         with pytest.raises(DivisionError, match=message):
             divide(num)
+
+
+# ---------------------------------------------------------------------------
+# Multiplication by the Stern series through its Mahler equation against the
+# Kronecker product with the table-read series.
+# ---------------------------------------------------------------------------
+
+
+def assert_stern_product(q):
+    n = len(q) - 1
+    got = series.mul_stern(TruncatedSeries(tuple(q)))
+    assert list(got.coeffs) == series._mul_coeffs(q, series.stern_series(n).coeffs, n)
+
+
+def signed_coeffs(length, bits, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(length)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.sampled_from([1, 20, 64]), st.integers(0, 2**32),
+       st.sampled_from([1, 2, 7]))
+@example(15, 64, 0, 1)
+@example(16, 64, 1, 1)
+@example(17, 64, 2, 1)
+def test_stern_multiplication_matches_the_kernel(n, bits, seed, spacing):
+    # coefficients of both signs up to 2^64, every `spacing`-th one nonzero
+    q = [c if i % spacing == 0 else 0 for i, c in enumerate(signed_coeffs(n + 1, bits, seed))]
+    assert_stern_product(q)
+
+
+def test_stern_multiplication_at_every_order_to_200():
+    q = signed_coeffs(201, 64, 3)
+    for n in range(201):
+        assert_stern_product(q[: n + 1])
+
+
+@pytest.mark.parametrize("n, bits", [(1 << 16, 64), (1 << 18, 1)])
+def test_stern_multiplication_at_large_orders(n, bits):
+    assert_stern_product(signed_coeffs(n + 1, bits, n))
+
+
+def test_stern_multiplication_base_is_the_stern_prefix():
+    base = series._STERN_HEAD
+    assert list(base) == prefix(Kind.STERN, len(base))[: len(base)]

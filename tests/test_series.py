@@ -317,6 +317,18 @@ def test_dense_polynomial():
     assert str(DensePolynomial((0, 1, 1))) == "0 + 1*z + 1*z^2"
 
 
+@pytest.mark.parametrize("k", range(18))
+def test_powers_match_repeated_products_and_square_only_what_they_use(monkeypatch, k):
+    # one product per set bit of k and one squaring per bit below the top
+    p = DensePolynomial((1, -1, 2))
+    want = DensePolynomial((1,))
+    for _ in range(k):
+        want = want * p
+    products = _spy(monkeypatch, "_mul_coeffs")
+    assert p**k == want
+    assert len(products) == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),
        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),

@@ -666,18 +666,19 @@ def test_conjecture_reports_match_the_product_per_e_sweep(monkeypatch, which, e_
 @pytest.mark.parametrize("which", ["gen", "ab"])
 @pytest.mark.parametrize("e_max", [0, 1, 5, 9])
 def test_a_sweep_makes_one_product_per_quotient(monkeypatch, which, e_max):
-    # only R_0 is a product; no right side divides or walks Carlitz's product
+    # only R_0 is a product, one `mul_stern` per quotient; no right side
+    # takes the product kernel, divides or walks Carlitz's product
     check, _, names, reach = _SWEEPS[which]
     order = max(1024, 3 << e_max)
     _pin_quotients(monkeypatch, names, order)
     products = []
-    mul = series._mul_coeffs
-    monkeypatch.setattr(series, "_mul_coeffs", lambda a, b, n: products.append(n) or mul(a, b, n))
+    mul_stern = verify.mul_stern
+    monkeypatch.setattr(verify, "mul_stern", lambda q: products.append(q.order) or mul_stern(q))
 
     def refuse(*args):
-        raise AssertionError("a right side took a route through the product form")
+        raise AssertionError("a right side took the product kernel or the product form")
 
-    for module, name in ((verify, "div_stern"), (series, "div_stern"),
+    for module, name in ((series, "_mul_coeffs"), (verify, "div_stern"), (series, "div_stern"),
                          (series, "infinite_product"), (series, "carlitz_series")):
         monkeypatch.setattr(module, name, refuse)
     assert check(e_max, order).ok
@@ -685,21 +686,19 @@ def test_a_sweep_makes_one_product_per_quotient(monkeypatch, which, e_max):
 
 
 @pytest.mark.parametrize("which", ["gen", "ab"])
-@pytest.mark.parametrize("k", [1, 2, 17, 300, 1021])
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 13])
 def test_a_corrupted_stern_coefficient_is_the_first_counterexample(monkeypatch, which, k):
-    # S is read from the tables for R_0 only; one wrong s(k) shows at e = 0,
-    # n = k, with the right side one more than the window (each Q opens with 1)
+    # the multiplier's base holds the only s(k) that R_0 reads; one wrong
+    # value there shows at e = 0, as the windows read the tables
     check, _, names, _ = _SWEEPS[which]
-
-    def corrupted(order):
-        cs = list(stern_series(order).coeffs)
-        cs[k] += 1
-        return TruncatedSeries(tuple(cs))
-
-    monkeypatch.setattr(verify, "stern_series", corrupted)
+    base = list(series._STERN_HEAD)
+    base[k] += 1
+    monkeypatch.setattr(series, "_STERN_HEAD", tuple(base))
     report = check(2, 1024)
-    lhs = verify._window(names[0], 0, k).coeffs[k]
-    assert report.counterexamples[0] == (0, k, lhs, lhs + 1)
+    assert not report.ok
+    e, n, lhs, rhs = report.counterexamples[0]
+    assert e == 0 and lhs != rhs
+    assert lhs in {verify._window(name, 0, n).coeffs[n] for name in names}
 
 
 #: Runs every range builder over s and t in a fresh interpreter and prints
