@@ -186,18 +186,13 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _series_by_name(name: str, order: int, e: int | None):
+def _series_by_name(name: str, order: int):
     if name == "stern":
         return stern_series(order)
     if name == "twisted":
         return twisted_series(order)
     if name == "carlitz":
         return carlitz_series(order)
-    if name == "psi":
-        if e is None:
-            raise ValueError("series psi needs --e")
-        poly = psi(e)
-        return poly.to_series(poly.degree)
     if name == "H":
         return regularity.h_series(order)
     if name == "C":
@@ -210,7 +205,17 @@ def _series_by_name(name: str, order: int, e: int | None):
 
 
 def _cmd_series(args) -> int:
-    result = _series_by_name(args.name, _order(args), args.e)
+    if args.name == "psi":
+        if args.order is not None:
+            raise ValueError("--order does not apply to psi, whose --e sets its degree")
+        if args.e is None:
+            raise ValueError("series psi needs --e")
+        poly = psi(args.e)
+        result = poly.to_series(poly.degree)
+    elif args.e is not None:
+        raise ValueError(f"--e applies only to psi, not to {args.name}")
+    else:
+        result = _series_by_name(args.name, _order(args))
     if args.format == "json":
         print(
             json.dumps(
@@ -246,7 +251,7 @@ def _cmd_scan(args) -> int:
 def _cmd_kernel(args) -> int:
     order = _order(args)
     regularity.check_kernel_probe(args.k, args.depth, order)
-    values = _series_by_name(args.target, order - 1, None).coeffs
+    values = _series_by_name(args.target, order - 1).coeffs
     report = regularity.kernel_rank(args.target, values, args.k, args.depth, order)
     if args.format == "json":
         print(report.to_json())

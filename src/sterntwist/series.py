@@ -45,7 +45,10 @@ class InternalCheckError(RuntimeError):
 # denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
 # schoolbook loops are faster and run instead.  The Stern series needs no
 # product at all: `div_stern` divides by it through Carlitz's product form,
-# and `mul_stern` multiplies by it through its Mahler equation.
+# and `mul_stern` multiplies by it through its Mahler equation.  Sparse
+# factors multiply by strided slices (`_times_sparse`), so no command reaches
+# this kernel; it serves the library's `TruncatedSeries.__mul__`,
+# `DensePolynomial.__mul__`, dense `div_exact` and `p_product_logderiv`.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
@@ -431,18 +434,6 @@ class DensePolynomial(IntPolynomial):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("polynomial powers need a natural exponent")
-        result, base, e = DensePolynomial._of_ints((1,)), self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def to_series(self, order: int) -> TruncatedSeries:
         return TruncatedSeries(_padded(self.coeffs, order))
 
@@ -485,14 +476,6 @@ def carlitz_series(order: int) -> TruncatedSeries:
     return infinite_product(DensePolynomial((1, 1, 1)), 2, order - 1).shift(1)
 
 
-def _sparse_poly(terms: dict) -> DensePolynomial:
-    """The sum of c*z^k over the items k: c of `terms`."""
-    out = [0] * (max(terms) + 1)
-    for k, c in terms.items():
-        out[k] = c
-    return DensePolynomial(tuple(out))
-
-
 #: Largest e that psi takes: its window reads the first 6*2^e + 1 entries
 #: of t, and the tables hold at most MAX_TABLE.
 MAX_PSI_E = ((MAX_TABLE - 1) // 6).bit_length() - 1
@@ -525,13 +508,18 @@ def psi_factored_plain(e: int) -> DensePolynomial:
 
 def psi_factored_signed(e: int) -> DensePolynomial:
     """z(1+z^{2^e})(1+z+z^2)^e times the product over i <= e-2 of
-    (1-z^{2^i}+z^{2^{i+1}})^{e-1-i}."""
+    (1-z^{2^i}+z^{2^{i+1}})^{e-1-i}.  Every factor is one `_times_sparse`
+    at its exact degree: 1+z+z^2 e times, then each 1-z^m+z^{2m} for
+    m = 2^i with i rising, and z(1+z^{2^e}) last."""
     if e < 0:
         raise ValueError("e must be a natural number")
-    acc = DensePolynomial((1, 1, 1)) ** e
-    for i in range(e - 1):
-        acc = acc * _sparse_poly({0: 1, 2**i: -1, 2 ** (i + 1): 1}) ** (e - 1 - i)
-    return acc * _sparse_poly({1: 1, 2**e + 1: 1})
+    factors = [((1, 1, 1), 1)] * e
+    factors += [((1, -1, 1), 1 << i) for i in range(e - 1) for _ in range(e - 1 - i)]
+    acc = [1]
+    for poly, step in factors:
+        acc = _times_sparse(acc, poly, step, len(acc) - 1 + 2 * step)
+    acc = _times_sparse([0] + acc, (1, 1), 1 << e, len(acc) + (1 << e))
+    return DensePolynomial._of_ints(tuple(acc))
 
 
 def psi(e: int) -> DensePolynomial:

@@ -16,7 +16,7 @@ import sterntwist.regularity as regularity
 import sterntwist.series as series
 import sterntwist.verify as verify
 from sterntwist.cli import MAX_ORDER, ORDER_ENV_VAR, BFileFormatError, parse_bfile, run
-from sterntwist.regularity import h_series
+from sterntwist.regularity import binary_partition_series, h_series
 from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
 from sterntwist.verify import REGISTRY, SUITES
 
@@ -136,6 +136,70 @@ def test_series_psi_needs_e(capsys):
     code, out = invoke(capsys, ["series", "--name", "psi", "--e", "1", "--format", "json"])
     assert code == 0
     assert json.loads(out)["coefficients"] == ["0", "1", "1", "2", "1", "1"]
+
+
+@pytest.mark.parametrize("value", ["-1", "5000000", "not-a-number"])
+def test_series_psi_reads_no_order(capsys, monkeypatch, value):
+    # psi's degree is set by --e, so a bad or capped order in the
+    # environment is never read
+    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
+    _, want = invoke(capsys, ["series", "--name", "psi", "--e", "2"])
+    monkeypatch.setenv(ORDER_ENV_VAR, value)
+    assert invoke(capsys, ["series", "--name", "psi", "--e", "2"]) == (0, want)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "psi", "--e", "2", "--order", "5"],
+     "--order does not apply to psi, whose --e sets its degree"),
+    (["--name", "psi", "--order", "5"], "--order does not apply to psi, whose --e sets its degree"),
+    (["--name", "stern", "--e", "3"], "--e applies only to psi, not to stern"),
+    (["--name", "u", "--order", "8", "--e", "0"], "--e applies only to psi, not to u"),
+])
+def test_series_refuses_a_flag_its_name_does_not_take(capsys, argv, message):
+    code = run(["series", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"series: {message}\n"
+
+
+def _bfile(path, oeis_id):
+    """A short b-file of `oeis_id` with correct values."""
+    if oeis_id == "A002487":
+        values = [stern(n) for n in range(33)]
+    elif oeis_id == "A163659":
+        values = h_series(32).coeffs
+    else:
+        values = binary_partition_series(64).coeffs[::2]
+    path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)))
+    return str(path)
+
+
+def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
+    # sparse factors multiply by slices and the Stern series is divided and
+    # multiplied through its product and Mahler forms, so no subcommand
+    # makes a Kronecker product or a Karp-Markstein division
+    argvs = [["series", "--name", name, "--order", "300"] for name in
+             ("stern", "twisted", "carlitz", "H", "C", "u", "A", "B", "binpart")]
+    argvs += [["series", "--name", "psi", "--e", "10"]]
+    argvs += [["kernel", "--target", target, "--depth", "3", "--order", "256"]
+              for target in ("stern", "H", "C", "binpart")]
+    argvs += [["conjecture", "--which", which, "--max-e", "3", "--order", "300"]
+              for which in ("gen", "ab")]
+    argvs += [["verify", "--max-e", "6", "--max-n", "2048"],
+              ["scan", "--identity", "ID3", "--e", "4"],
+              ["seq", "--kind", "t", "--from", "0", "--to", "40"],
+              ["count", "--pattern", "admissible", "--n", "12345", "--weighted"]]
+    argvs += [["oeis-check", "--id", oeis_id, "--bfile", _bfile(tmp_path / oeis_id, oeis_id)]
+              for oeis_id in ("A002487", "A163659", "A000123")]
+    calls = []
+    for name in ("_mul_coeffs", "_quotient"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for argv in argvs:
+        code, out = invoke(capsys, argv)
+        assert code == 0 and out, argv
+        assert calls == [], argv
 
 
 def test_series_env_default_order(capsys, monkeypatch):
@@ -571,7 +635,10 @@ def _argv(draw):
     if command == "series":
         name = draw(st.sampled_from(
             ["stern", "twisted", "carlitz", "psi", "H", "C", "u", "A", "B", "binpart"]))
-        return (["series", "--name", name, "--order", draw(_num(-2, 256))]
+        order = ["--order", draw(_num(-2, 256))]
+        if name == "psi":  # psi reads no order, so it may go without one
+            order = draw(st.sampled_from([[], order]))
+        return (["series", "--name", name, *order]
                 + draw(_opt("--e", _num(-2, 5))) + draw(_fmt("text", "json")))
     if command == "verify":
         return (["verify", "--suite", draw(st.sampled_from(SUITES)),

@@ -10,10 +10,11 @@ from sterntwist.ratwords import LinearRepresentation
 from sterntwist.regularity import AffineSystem, exact_rank
 from sterntwist.sequences import W, WeightPolynomial, _schoolbook_mul, stern, twisted
 from sterntwist.series import (
+    MAX_PSI_E,
     DensePolynomial,
     DivisionError,
+    InternalCheckError,
     TruncatedSeries,
-    _sparse_poly,
     _times_sparse,
     carlitz_series,
     derivative,
@@ -243,18 +244,62 @@ def test_times_sparse_at_the_edges(cs, poly, step, n, want):
     assert _times_sparse(cs, poly, step, n) == want
 
 
+def _kernel_product(*factors):
+    """The product of coefficient lists, left to right, through the product
+    kernel."""
+    acc = [1]
+    for f in factors:
+        acc = series._mul_coeffs(acc, f, len(acc) + len(f) - 2)
+    return acc
+
+
+def _kernel_power(cs, k):
+    """cs to the k through the product kernel, by repeated squaring."""
+    acc = [1]
+    while k:
+        if k & 1:
+            acc = _kernel_product(acc, cs)
+        k >>= 1
+        if k:
+            cs = _kernel_product(cs, cs)
+    return acc
+
+
+def _trinomial(sign, m):
+    """1 + sign*z^m + z^(2m)."""
+    return [1] + [0] * (m - 1) + [sign] + [0] * (m - 1) + [1]
+
+
+def _z_times_binomial(e):
+    """z(1 + z^(2^e))."""
+    return [0, 1] + [0] * ((1 << e) - 1) + [1]
+
+
 def _psi_factored_plain_by_kernel(e):
     """The former plain route to psi_e, kept as the oracle: each sparse
     factor goes through the product kernel, the long z(1+z^{2^e}) first."""
-    acc = _sparse_poly({1: 1, 2**e + 1: 1})
-    for i in range(e):
-        acc = acc * _sparse_poly({0: 1, 2**i: 1, 2 ** (i + 1): 1})
-    return acc
+    trinomials = (_trinomial(1, 1 << i) for i in range(e))
+    return tuple(_kernel_product(_z_times_binomial(e), *trinomials))
+
+
+def _psi_factored_signed_by_kernel(e):
+    """The former signed route to psi_e, kept as the oracle: each factor's
+    power by repeated squaring through the product kernel, the smallest
+    factors first and z(1+z^{2^e}) last."""
+    acc = _kernel_power([1, 1, 1], e)
+    for i in range(e - 1):
+        acc = _kernel_product(acc, _kernel_power(_trinomial(-1, 1 << i), e - 1 - i))
+    return tuple(_kernel_product(acc, _z_times_binomial(e)))
 
 
 def test_psi_plain_route_matches_the_kernel_route():
     for e in range(15):
-        assert psi_factored_plain(e).coeffs == _psi_factored_plain_by_kernel(e).coeffs, e
+        assert psi_factored_plain(e).coeffs == _psi_factored_plain_by_kernel(e), e
+
+
+def test_psi_signed_route_matches_the_kernel_route():
+    for e in [*range(15), MAX_PSI_E]:
+        assert psi_factored_signed(e).coeffs == _psi_factored_signed_by_kernel(e), e
 
 
 def test_carlitz_series_is_the_stern_series():
@@ -270,17 +315,36 @@ def _spy(monkeypatch, name):
 
 
 def test_sparse_routes_stay_off_the_product_kernel(monkeypatch):
-    # the plain route and Carlitz's product multiply by slices; the signed
-    # route and the table window never do, so psi's three routes stay apart
+    # both factored routes to psi and Carlitz's product multiply by slices
+    # and never by the product kernel; the table window takes neither, so a
+    # fault in the slices still shows as a disagreement with the window
     kernel, slices = _spy(monkeypatch, "_mul_coeffs"), _spy(monkeypatch, "_times_sparse")
-    psi_factored_plain(9)
-    carlitz_series(1024)
-    infinite_product(DensePolynomial((1, 2, 0, 3, 1)), 3, 500)
-    assert kernel == [] and slices
+    for build in (psi_factored_plain, psi_factored_signed, carlitz_series,
+                  lambda n: infinite_product(DensePolynomial((1, 2, 0, 3, 1)), 3, n)):
+        slices.clear()
+        build(9)
+        assert slices
     slices.clear()
-    psi_factored_signed(9)
     psi_from_twisted(9)
-    assert slices == [] and kernel
+    assert slices == [] and kernel == []
+
+
+@pytest.mark.parametrize("e", [0, 3, 10])
+def test_psi_catches_a_fault_in_the_slice_products(monkeypatch, e):
+    # one wrong coefficient out of `_times_sparse` makes both factored
+    # routes wrong, and the table window, which takes no slice product,
+    # disagrees with them
+    times_sparse = series._times_sparse
+
+    def faulty(*args):
+        out = times_sparse(*args)
+        out[len(out) // 2] += 1
+        return out
+
+    monkeypatch.setattr(series, "_times_sparse", faulty)
+    assert psi_factored_plain(e) != psi_from_twisted(e) != psi_factored_signed(e)
+    with pytest.raises(InternalCheckError):
+        psi(e)
 
 
 def test_infinite_product():
@@ -307,8 +371,6 @@ def test_dense_polynomial():
     p = DensePolynomial((1, 1, 1))
     q = DensePolynomial((1, -1, 1))
     assert (p * q).coeffs == (1, 0, 1, 0, 1)
-    assert (p**0).coeffs == (1,)
-    assert p**3 == p * p * p
     assert (p - p).coeffs == (0,)
     assert DensePolynomial((1, 0, 0)).coeffs == (1,)
     assert derivative(p.to_series(2)).coeffs == (1, 2)
@@ -319,14 +381,18 @@ def test_dense_polynomial():
 
 @pytest.mark.parametrize("k", range(18))
 def test_powers_match_repeated_products_and_square_only_what_they_use(monkeypatch, k):
-    # one product per set bit of k and one squaring per bit below the top
+    # psi's signed route takes each power as k slice products at the exact
+    # degree, so it forms no square and no coefficient past the power's own
     p = DensePolynomial((1, -1, 2))
     want = DensePolynomial((1,))
     for _ in range(k):
         want = want * p
-    products = _spy(monkeypatch, "_mul_coeffs")
-    assert p**k == want
-    assert len(products) == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+    kernel, slices = _spy(monkeypatch, "_mul_coeffs"), _spy(monkeypatch, "_times_sparse")
+    acc = [1]
+    for _ in range(k):
+        acc = series._times_sparse(acc, p.coeffs, 1, len(acc) + 1)
+    assert tuple(acc) == want.coeffs and len(acc) == 2 * k + 1
+    assert len(slices) == k and kernel == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,6 +456,12 @@ def test_psi_small_and_routes():
     assert psi(2).coeffs == (0, 1, 1, 2, 1, 3, 2, 3, 1, 2, 1, 1)
     for e in range(8):
         assert psi_from_twisted(e) == psi_factored_plain(e) == psi_factored_signed(e)
+
+
+def test_psi_routes_agree_at_the_largest_e():
+    p = psi(MAX_PSI_E)
+    assert p.degree == (3 << MAX_PSI_E) - 1
+    assert p.coeffs[: (1 << MAX_PSI_E) + 1] == stern_series(1 << MAX_PSI_E).coeffs
 
 
 def test_psi_palindrome_window():
