@@ -9,8 +9,9 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, repeat
-from operator import add, index, mul
+from itertools import accumulate, islice, repeat
+from math import gcd
+from operator import add, index, mul, sub
 
 from .sequences import Frozen, Kind, _trimmed
 from .series import (
@@ -224,45 +225,28 @@ def binary_partition_series(order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def exact_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix by fraction-free
-    elimination: Bareiss one-step elimination keeps every intermediate
-    entry an exact minor.
+def _reduce(row, basis: list) -> None:
+    """Fraction-free echelon step: reduce `row` against the (pivot, row)
+    pairs of `basis` by row*b[p] - b*row[p], and append what is left, divided
+    by the gcd of its entries, with its first nonzero column as the pivot.
+    No step divides, so none can leave a remainder."""
+    for p, b in basis:
+        c = row[p]
+        if c:
+            row = list(map(sub, map(mul, row, repeat(b[p])), map(mul, b, repeat(c))))
+    lead = next(filter(None, row), 0)
+    if lead:
+        g = gcd(*row)
+        basis.append((row.index(lead), row if g == 1 else [x // g for x in row]))
 
-    Repeated rows and zero rows leave the rank unchanged, so they are
-    dropped before the elimination, and rows that a pivot turns to zero
-    are dropped after it.
-    """
-    mat = [list(row) for row in dict.fromkeys(tuple(map(index, row)) for row in rows) if any(row)]
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        piv = mat[rank][col]
-        prow = mat[rank]
-        kept = mat[: rank + 1]
-        for rrow in mat[rank + 1 :]:
-            factor = rrow[col]
-            # even factor-0 rows get scaled by the pivot: Bareiss needs it
-            # for the later division by `prev` to stay exact
-            for c in range(col, ncols):
-                num = piv * rrow[c] - factor * prow[c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalCheckError("fraction-free elimination lost exactness")
-                rrow[c] = q
-            if any(rrow):
-                kept.append(rrow)
-        mat = kept
-        prev = piv
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix: the size of its
+    fraction-free row echelon.  Repeated rows are reduced only once."""
+    basis: list = []
+    for row in dict.fromkeys(tuple(map(index, row)) for row in rows):
+        _reduce(row, basis)
+    return len(basis)
 
 
 class KernelProbeReport(Frozen):
@@ -301,25 +285,36 @@ class KernelProbeReport(Frozen):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _section_ranks(values, k: int, depth: int, order: int) -> list[int]:
-    ranks = []
-    for d in range(depth + 1):
-        length = order // k**d
-        rows = [values[r : r + length * k**j : k**j] for j in range(d + 1) for r in range(k**j)]
-        ranks.append(exact_rank(rows))
+def _echelon_ranks(values: tuple, k: int, length: int, depth: int) -> list[int]:
+    """Ranks of the sections of depths 0..`depth`, each cut to `length`
+    terms, read after each depth from one growing echelon.  A row seen
+    before is skipped, and a basis of `length` rows is full."""
+    basis, seen, ranks = [], set(), []
+    for j in range(depth + 1):
+        step = k**j
+        for r in range(step):
+            if len(basis) == length:
+                break
+            row = values[r : r + length * step : step]
+            if row not in seen:
+                seen.add(row)
+                _reduce(row, basis)
+        ranks.append(len(basis))
     return ranks
 
 
 def check_kernel_probe(k: int, depth: int, order: int) -> None:
     """Refuse, with ValueError, a probe that `kernel_rank` cannot run: a
-    base below 2, a negative depth, an order below 1, or a depth d with
-    k^d > order.  It needs no coefficient values."""
+    base below 2, a negative depth, an order below 2 (the half-order probe
+    would have nothing to compare), or a depth d with k^d > order.  It needs
+    no coefficient values."""
     if k < 2:
         raise ValueError("base k must be at least 2")
     if depth < 0:
         raise ValueError("depth must be a natural number")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    if order < 2:
+        raise ValueError("order must be at least 2, "
+                         "so that the half-order probe has a prefix to compare")
     # the deepest probe that fits, found without ever forming k**depth
     deepest, span = 0, k
     while span <= order:
@@ -335,18 +330,25 @@ def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelPr
     Depth d contributes the k^d sections n -> a(k^d n + r); its rank is
     taken over all sections of depth <= d, each cut to the common prefix
     length floor(order / k^d).  Bounded, stabilising ranks are evidence of
-    k-regularity; steady growth is evidence against it.
+    k-regularity; steady growth is evidence against it.  The probe is re-run
+    at half the order; both runs read their ranks from one echelon per
+    distinct prefix length.
     """
     check_kernel_probe(k, depth, order)
-    values = list(values)
+    values = tuple(map(index, islice(values, order)))
     if len(values) < order:
         raise ValueError(f"need at least {order} coefficient values")
-    ranks = _section_ranks(values, k, depth, order)
     half = order // 2
     half_depth = depth
-    while half_depth > 0 and k**half_depth > half:
+    while k**half_depth > half:
         half_depth -= 1
-    ranks_half = _section_ranks(values, k, half_depth, half) if half >= 1 else []
+    probes = ((order, depth), (half, half_depth))
+    deepest: dict[int, int] = {}
+    for n, top in probes:
+        for d in range(top + 1):
+            deepest[n // k**d] = max(deepest.get(n // k**d, 0), d)
+    passes = {length: _echelon_ranks(values, k, length, d) for length, d in deepest.items()}
+    ranks, ranks_half = ([passes[n // k**d][d] for d in range(top + 1)] for n, top in probes)
     # a decrease can only come from prefixes shorter than the span they
     # should exhibit: the window is too small to say anything at this depth
     for seq in (ranks, ranks_half):
@@ -355,7 +357,5 @@ def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelPr
                 f"order {order} is too small to probe depth {depth} reliably; "
                 "section ranks exceed the available prefix length"
             )
-    stable = list(ranks[: len(ranks_half)]) == list(ranks_half)
-    return KernelProbeReport(
-        target, k, order, depth, tuple(ranks), tuple(ranks_half), stable
-    )
+    stable = ranks[: len(ranks_half)] == ranks_half
+    return KernelProbeReport(target, k, order, depth, tuple(ranks), tuple(ranks_half), stable)

@@ -409,11 +409,14 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 
 def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
     """Coefficients 0..n of cs * poly(z^step), for a short poly: one strided
-    slice update per nonzero c_j, which adds c_j * cs at j*step (j = 0 onto zeros)."""
+    slice update per nonzero c_j, which adds c_j * cs at j*step (j = 0 onto
+    zeros) or, for c_j = -1, subtracts cs there."""
     out = [0] * (n + 1)
     for j, c in enumerate(poly):
         lo, k = j * step, min(len(cs), n + 1 - j * step)
-        if c and k > 0:
+        if c == -1 and k > 0:
+            out[lo : lo + k] = map(sub, out[lo : lo + k], cs[:k])
+        elif c and k > 0:
             part = cs[:k] if c == 1 else map(mul, cs[:k], repeat(c))
             out[lo : lo + k] = map(add, out[lo : lo + k], part) if j else part
     return out

@@ -312,9 +312,14 @@ def test_kernel_refuses_a_deep_probe_before_forming_k_to_the_depth(capsys):
         assert captured.err == "kernel: depth must be at most 6, since order 1024 < 3^7\n"
 
 
+HALF_ORDER_REFUSAL = ("order must be at least 2, "
+                      "so that the half-order probe has a prefix to compare")
+
+
 @pytest.mark.parametrize("target", ["stern", "H", "C", "binpart"])
 @pytest.mark.parametrize("argv, message", [
-    (["--order", "0"], "order must be at least 1"),
+    (["--order", "0"], HALF_ORDER_REFUSAL),
+    (["--order", "1"], HALF_ORDER_REFUSAL),
     (["--depth", "100", "--order", "65536"], "depth must be at most 16, since order 65536 < 2^17"),
     (["--k", "1"], "base k must be at least 2"),
     (["--depth", "-1"], "depth must be a natural number"),

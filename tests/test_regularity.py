@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -373,6 +375,30 @@ def redundant_rows(draw):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def late_vanishing_rows(draw):
+    """Rows with entries up to 2^64, then integer combinations of three or
+    more picks of them: a combination turns to zero only after several
+    pivots."""
+    width = draw(st.integers(3, 7))
+    entries = st.integers(-(1 << 64), 1 << 64)
+    base = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=3,
+                         max_size=width))
+    rows = list(base)
+    for _ in range(draw(st.integers(1, 4))):
+        picked = draw(st.lists(st.sampled_from(base), min_size=3, max_size=len(base)))
+        coeffs = draw(st.lists(st.integers(-(1 << 32), 1 << 32).filter(bool),
+                               min_size=len(picked), max_size=len(picked)))
+        rows.append([sum(c * row[i] for c, row in zip(coeffs, picked)) for i in range(width)])
+    return draw(st.permutations(rows))
+
+
+def _matrices(height, width, entries):
+    """Up to `height` rows of one common width up to `width`."""
+    return st.integers(1, width).flatmap(lambda w: st.lists(
+        st.lists(entries, min_size=w, max_size=w), min_size=1, max_size=height))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.lists(
@@ -381,6 +407,10 @@ def redundant_rows(draw):
         max_size=6,
     ),
     redundant_rows(),
+    _matrices(14, 3, st.integers(-3, 3)),  # tall
+    _matrices(3, 14, st.integers(-3, 3)),  # wide
+    _matrices(6, 6, st.integers(-(1 << 64), 1 << 64)),
+    late_vanishing_rows(),
 ))
 def test_exact_rank_matches_fraction_elimination(rows):
     assert exact_rank(rows) == _fraction_rank(rows)
@@ -414,8 +444,11 @@ def test_kernel_rank_preconditions():
         kernel_rank("x", [1] * 4, 2, 1, 16)
     with pytest.raises(ValueError):
         kernel_rank("x", [1] * 16, 1, 1, 16)
-    with pytest.raises(ValueError, match="order must be at least 1"):
+    with pytest.raises(ValueError, match="order must be at least 2, so that the half-order probe"):
         kernel_rank("x", [], 2, 0, 0)
+    # order 1 has no half-order prefix, so nothing would be compared
+    with pytest.raises(ValueError, match="order must be at least 2, so that the half-order probe"):
+        kernel_rank("x", [1], 2, 0, 1)
     # 2^4 <= 16 < 2^5: depth 4 runs, 5 and a depth whose power would take
     # minutes to form are refused at once, naming 4
     assert kernel_rank("x", [1] * 16, 2, 4, 16).ranks == (1,) * 5
@@ -430,6 +463,65 @@ def test_kernel_rank_rejects_unreliable_prefix():
     values = binary_partition_series(255).coeffs
     with pytest.raises(ValueError, match="too small"):
         kernel_rank("binpart", values, 2, 6, 256)
+
+
+_PROBE_ORDER = 200
+_PROBE_TARGETS = {
+    "stern": stern_series(_PROBE_ORDER).coeffs,
+    "H": h_series(_PROBE_ORDER).coeffs,
+    "C": c_series(_PROBE_ORDER).coeffs,
+    "binpart": binary_partition_series(_PROBE_ORDER).coeffs,
+    "random": tuple(random.Random(2010).choices(range(-3, 4), k=_PROBE_ORDER + 1)),
+    "constant": (7,) * (_PROBE_ORDER + 1),
+    "zeros": (0,) * (_PROBE_ORDER + 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _depth_rank(target, k, d, length):
+    """Rank of all sections of depth <= d cut to `length` terms, as one
+    matrix eliminated over the rationals."""
+    values = _PROBE_TARGETS[target]
+    return _fraction_rank([values[r : r + length * k**j : k**j]
+                           for j in range(d + 1) for r in range(k**j)])
+
+
+def _two_pass_probe(target, k, depth, order):
+    """The former probe: one matrix per depth at the full order, then a
+    separate pass at half the order.  The JSON report or the ValueError text."""
+    try:
+        regularity.check_kernel_probe(k, depth, order)
+        half = order // 2
+        half_depth = depth
+        while half_depth > 0 and k**half_depth > half:
+            half_depth -= 1
+        ranks = [_depth_rank(target, k, d, order // k**d) for d in range(depth + 1)]
+        ranks_half = [_depth_rank(target, k, d, half // k**d) for d in range(half_depth + 1)]
+        for seq in (ranks, ranks_half):
+            if any(a > b for a, b in zip(seq, seq[1:])):
+                raise ValueError(
+                    f"order {order} is too small to probe depth {depth} reliably; "
+                    "section ranks exceed the available prefix length"
+                )
+    except ValueError as exc:
+        return str(exc)
+    stable = ranks[: len(ranks_half)] == ranks_half
+    return KernelProbeReport(target, k, order, depth, tuple(ranks), tuple(ranks_half),
+                             stable).to_json()
+
+
+@pytest.mark.parametrize("target", list(_PROBE_TARGETS))
+def test_kernel_rank_matches_the_two_pass_probe(target):
+    values = _PROBE_TARGETS[target]
+    for k in (2, 3, 4, 5):
+        orders = range(1, _PROBE_ORDER + 1) if k == 2 else range(1, _PROBE_ORDER + 1, 7)
+        for order in orders:
+            for depth in range(9):
+                try:
+                    got = kernel_rank(target, values, k, depth, order).to_json()
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == _two_pass_probe(target, k, depth, order), (k, depth, order)
 
 
 def test_kernel_report_monotonicity_guard():

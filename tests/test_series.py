@@ -239,6 +239,8 @@ def test_times_sparse_matches_the_product_with_the_substituted_poly(args):
     ([5, -7], (2, 0, -1), 4, 3, [10, -14, 0, 0]),  # n < step: only the lowest term
     ([1, 2, 3], (1, 1), 2, 9, [1, 2, 4, 2, 3, 0, 0, 0, 0, 0]),  # n past the product
     ([1, 2, 3], (0, 1), 1, 3, [0, 1, 2, 3]),  # no constant term
+    ([1, 2, 3], (1, -1, 1), 1, 4, [1, 1, 2, -1, 3]),  # a -1 between, as in psi's signed factors
+    ([1, -2, 3], (-1, 1), 2, 4, [-1, 2, -2, -2, 3]),  # a -1 at j = 0
 ])
 def test_times_sparse_at_the_edges(cs, poly, step, n, want):
     assert _times_sparse(cs, poly, step, n) == want
