@@ -3,7 +3,6 @@ sequence, its sign-twisted companion, and the series identities that tie
 the two together."""
 
 from .sequences import (
-    SequenceCache,
     WeightPolynomial,
     count_admissible,
     enumerate_admissible,
@@ -36,6 +35,7 @@ from .regularity import (
     binary_partition_series,
     c_series,
     degree_reduce,
+    exact_rank,
     h_series,
     kernel_rank,
     p_product_logderiv,

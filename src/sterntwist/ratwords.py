@@ -42,12 +42,6 @@ def _weight(x) -> WeightPolynomial:
     return p
 
 
-def _entry_json(x):
-    if isinstance(x, WeightPolynomial):
-        return [str(c) for c in x.coeffs]
-    return str(x)
-
-
 class LinearRepresentation(Frozen):
     """(init, trans, final) with integer or w-polynomial entries; trans[letter]
     is a square matrix and the value of a word is
@@ -104,18 +98,6 @@ class LinearRepresentation(Frozen):
                 )
             row = _row_times_matrix(row, self.trans[digit], zero)
         return _dot(row, self.final, zero)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "states": self.states,
-            "alphabet": self.alphabet_size,
-            "ring": "integer-polynomial-in-w" if self.weighted else "integer",
-            "init": [_entry_json(x) for x in self.init],
-            "trans": [
-                [[_entry_json(x) for x in row] for row in matrix] for matrix in self.trans
-            ],
-            "final": [_entry_json(x) for x in self.final],
-        }
 
 
 def subsequence_transform(rep: LinearRepresentation) -> LinearRepresentation:

@@ -361,18 +361,6 @@ class IntPolynomial(Frozen):
             return hash(self.coeffs[0])
         return hash((self.var, self.coeffs))
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def shift(self, k: int):
-        """Multiply by var^k."""
-        if k < 0:
-            raise ValueError("shift exponent must be a natural number")
-        return self._of_ints((0,) * k + self.coeffs)
-
     def __str__(self) -> str:
         return render_coeffs(self.coeffs, self.var)
 

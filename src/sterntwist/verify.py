@@ -591,8 +591,8 @@ def check_divisibility(limit: int) -> VerificationReport:
     -1 at n = 1, 1+2(e-2) at n = 2^e (e >= 1), and 1+2*v2(n) elsewhere.
     A block's column of 1+2*v2(n) is built by strided slice assignment.
     """
-    if limit < 4:
-        raise ValueError("limit must be at least 4")
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
     report = VerificationReport("DIVISIBILITY", params=f"1 <= n < {limit}")
     s, t = prefix(Kind.STERN, limit + 1), prefix(Kind.TWISTED, limit + 1)
     # t's quotient where it is not 1+2*v2(n); 0 marks the both-zero points
@@ -805,7 +805,7 @@ def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
     if suite == "matrices":
         return [check_det_m(n_limit), check_det_families(e_max)]
     if suite == "divisibility":
-        return [check_divisibility(max(n_limit, 4))]
+        return [check_divisibility(n_limit)]
     if suite == "mod2":
         return [check_mod2(n_limit)]
     if suite == "palindrome":
@@ -813,7 +813,7 @@ def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
     if suite == "all":
         return check_all_identities(e_max, jobs=jobs) + [
             check_det_m(n_limit), check_det_families(e_max),
-            check_divisibility(max(n_limit, 4)), check_mod2(n_limit),
+            check_divisibility(n_limit), check_mod2(n_limit),
             check_palindrome(e_max), check_partial_sums(e_max),
         ]
     raise ValueError(f"unknown suite {suite!r}")

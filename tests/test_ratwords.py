@@ -159,19 +159,3 @@ def test_digits_of():
         digits_of(5, 1)
     with pytest.raises(ValueError):
         digits_of(-1, 2)
-
-
-def test_serialisation():
-    rep = subsequence_transform(admissible_representation())
-    blob = rep.to_json_dict()
-    assert blob["states"] == 3
-    assert blob["alphabet"] == 2
-    assert blob["ring"] == "integer-polynomial-in-w"
-    # w-polynomial entries serialise as coefficient-string arrays
-    assert blob["trans"][1][2][1] == ["0", "1"]
-    factors = subfactor_transform(admissible_representation()).to_json_dict()
-    assert factors["ring"] == "integer-polynomial-in-w"
-    assert all(isinstance(x, list) for row in factors["trans"][0] for x in row)
-    plain = word_indicator((1,), 2).to_json_dict()
-    assert plain["init"] == ["1", "0"]
-    assert all(isinstance(x, str) for row in plain["trans"][0] for x in row)

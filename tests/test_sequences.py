@@ -76,7 +76,7 @@ def test_point_lookups_match_the_tables_and_store_nothing():
         s, t = stern(n), twisted(n)
         if k < 200:
             # an independent route: S(n) counts admissible subsequences
-            assert s == weighted_stern(n).evaluate(1)
+            assert s == sum(weighted_stern(n).coeffs)
         assert s % 2 == t % 2 == mod2(n)
     assert sequences._STERN.values == {} and sequences._TWISTED.values == {}
     assert [len(table) for table in sequences._PREFIXES.values()] == lengths
@@ -198,7 +198,7 @@ def test_weighted_routes_agree_exhaustive():
         direct_s, direct_se = weighted_count_direct(n)
         assert direct_s == expected
         assert direct_se == weighted_even(n)
-        assert expected.evaluate(1) == stern(n)
+        assert sum(expected.coeffs) == stern(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,7 +209,7 @@ def test_weighted_routes_agree(n):
     direct_s, direct_se = weighted_count_direct(n)
     assert direct_s == expected
     assert direct_se == weighted_even(n)
-    assert expected.evaluate(1) == stern(n)
+    assert sum(expected.coeffs) == stern(n)
 
 
 def test_weighted_fold_matches_automaton_at_1500_bits():
@@ -258,7 +258,6 @@ def test_weight_polynomial_arithmetic():
     assert p - p == WeightPolynomial((0,))
     assert (W - 1) * p == WeightPolynomial((-1, -1, 2))
     assert 2 * p == WeightPolynomial((2, 4))
-    assert p.evaluate(3) == 7
     assert str(p) == "1 + 2*w"
     assert str(WeightPolynomial((0,))) == "0"
     assert WeightPolynomial((5, 0, 0)).coeffs == (5,)

@@ -377,7 +377,6 @@ def test_dense_polynomial():
     assert DensePolynomial((1, 0, 0)).coeffs == (1,)
     assert derivative(p.to_series(2)).coeffs == (1, 2)
     assert substitute_power(p.to_series(2), 2, 4).coeffs == (1, 0, 1, 0, 1)
-    assert p.shift(2).coeffs == (0, 0, 1, 1, 1)
     assert str(DensePolynomial((0, 1, 1))) == "0 + 1*z + 1*z^2"
 
 
@@ -407,10 +406,9 @@ def test_w_and_z_polynomials_share_one_arithmetic(a, b, c):
     za, zb = DensePolynomial(tuple(a)), DensePolynomial(tuple(b))
     wa, wb = WeightPolynomial(tuple(a)), WeightPolynomial(tuple(b))
     for z, w in [(za + zb, wa + wb), (za - zb, wa - wb), (za * zb, wa * wb), (-za, -wa),
-                 (c + za, c + wa), (c - za, c - wa), (c * za, c * wa), (za.shift(2), wa.shift(2))]:
+                 (c + za, c + wa), (c - za, c - wa), (c * za, c * wa)]:
         assert type(z) is DensePolynomial and type(w) is WeightPolynomial
         assert z.coeffs == w.coeffs
-    assert za.evaluate(c) == wa.evaluate(c)
     assert bool(za) == bool(wa) == any(a)
     assert str(za).replace("z", "w") == str(wa)
 
@@ -427,8 +425,6 @@ def test_w_and_z_polynomials_never_mix():
             op(w, z)
     assert str(z) == "1 + 2*z" and str(w) == "1 + 2*w"
     assert repr(z) == "DensePolynomial(coeffs=(1, 2))"
-    with pytest.raises(ValueError):
-        w.shift(-1)
 
 
 @pytest.mark.parametrize("cls", [WeightPolynomial, DensePolynomial])
@@ -479,7 +475,7 @@ def test_psi_palindrome_window():
 def test_psi_doubling_recursion():
     # z * psi(e+1) equals (1 + z + z^2) * psi(e)(z^2)
     for e in range(10):
-        lhs = psi(e + 1).shift(1).to_series(6 << e)
+        lhs = psi(e + 1).to_series((6 << e) - 1).shift(1)
         rhs = DensePolynomial((1, 1, 1)).to_series(6 << e) * substitute_power(
             psi(e).to_series(3 << e), 2, 6 << e)
         assert lhs.coeffs == rhs.coeffs
