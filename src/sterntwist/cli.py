@@ -11,18 +11,33 @@ All numeric output is decimal strings; nothing is ever a float.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import os
 import sys
 
-from . import ratwords, regularity, verify
-from .sequences import MAX_TABLE, stern, twisted, weighted_even, weighted_stern
-from .series import (
-    carlitz_series,
-    psi,
-    stern_series,
-    twisted_series,
-)
+
+def _lazy(name: str):
+    """The module sterntwist.<name>.  One already imported is returned as it
+    is; any other is registered in sys.modules, and its code runs on the
+    first read of one of its attributes.  So a process compiles only the
+    modules its subcommand reaches, and `--help` none of them."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+ratwords = _lazy("ratwords")
+regularity = _lazy("regularity")
+sequences = _lazy("sequences")
+series = _lazy("series")
+verify = _lazy("verify")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +88,7 @@ def _oeis_reference_values(oeis_id: str, max_index: int):
     reference is refused, before it is built, unless its order lies below
     MAX_ORDER."""
     if oeis_id == "A002487":
-        return lambda i: stern(i)
+        return sequences.stern
     # A000123: entry n counts partitions of 2n into powers of two, which is
     # our coefficient at index 2n.
     stride = 2 if oeis_id == "A000123" else 1
@@ -128,6 +143,10 @@ def _default_order() -> int:
     return value
 
 
+#: sequences.MAX_TABLE, the most entries a prefix table may hold, stated
+#: here so that importing cli runs no module; a test pins the two.
+MAX_TABLE = 1 << 21
+
 #: Orders lie below this.  The widest reader, the u series, takes the first
 #: order + 5 entries of t, so no order-taking command passes MAX_TABLE.
 MAX_ORDER = MAX_TABLE - 8
@@ -154,14 +173,16 @@ def _cmd_seq(args) -> int:
     if args.end - args.start >= MAX_TABLE:
         raise ValueError(f"a range holds at most {MAX_TABLE} values")
     producers = {
-        "s": stern,
-        "t": twisted,
-        "S": weighted_stern,
-        "Se": weighted_even,
+        "s": sequences.stern,
+        "t": sequences.twisted,
+        "S": sequences.weighted_stern,
+        "Se": sequences.weighted_even,
     }
     produce = producers[args.kind]
     values = [(n, produce(n)) for n in range(args.start, args.end + 1)]
     if args.format == "json":
+        import json
+
         if args.kind in ("s", "t"):
             payload = [str(v) for _, v in values]
         else:
@@ -188,19 +209,19 @@ def _cmd_seq(args) -> int:
 
 def _series_by_name(name: str, order: int):
     if name == "stern":
-        return stern_series(order)
+        return series.stern_series(order)
     if name == "twisted":
-        return twisted_series(order)
+        return series.twisted_series(order)
     if name == "carlitz":
-        return carlitz_series(order)
+        return series.carlitz_series(order)
     if name == "H":
         return regularity.h_series(order)
     if name == "C":
         return regularity.c_series(order)
-    if name in verify.WINDOW_FORMS:
-        return verify.quotient_series(name, order)
     if name == "binpart":
         return regularity.binary_partition_series(order)
+    if name in verify.WINDOW_FORMS:
+        return verify.quotient_series(name, order)
     raise ValueError(f"unknown series {name!r}")
 
 
@@ -210,13 +231,15 @@ def _cmd_series(args) -> int:
             raise ValueError("--order does not apply to psi, whose --e sets its degree")
         if args.e is None:
             raise ValueError("series psi needs --e")
-        poly = psi(args.e)
+        poly = series.psi(args.e)
         result = poly.to_series(poly.degree)
     elif args.e is not None:
         raise ValueError(f"--e applies only to psi, not to {args.name}")
     else:
         result = _series_by_name(args.name, _order(args))
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -340,7 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=list(verify.SUITES), default="all")
+    p.add_argument(
+        "--suite",
+        choices=["all", "identities", "matrices", "divisibility", "mod2", "palindrome"],
+        default="all",
+    )
     p.add_argument("--max-e", dest="max_e", type=int, default=MAX_E)
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)

@@ -10,9 +10,9 @@ point's value.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import repeat
 from operator import add, mod, mul, neg, sub
-from typing import Callable
 
 from .sequences import Kind, prefix
 

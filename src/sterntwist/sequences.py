@@ -12,7 +12,6 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import compress, zip_longest
 from operator import add, index, itemgetter, neg
-from typing import ClassVar
 
 
 class Kind(Enum):
@@ -280,7 +279,7 @@ class IntPolynomial(Frozen):
     """
 
     __slots__ = ("coeffs",)
-    var: ClassVar[str]
+    var: str  # a class attribute: the variable's name
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _trimmed(tuple(map(index, coeffs))))

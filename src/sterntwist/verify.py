@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Callable
 from itertools import chain, repeat
 from operator import add, and_, mul, sub
-from typing import Callable
 
 from .columns import Column, Reader, Span, column_reader
 from .sequences import MAX_TABLE, Frozen, Kind, prefix, stern, twisted

@@ -48,7 +48,11 @@ def test_traced_library_calls_match_the_references(tmp_path):
     assert [digest for digest, _ in json.loads(results)] == [refs[f"lib {k}"] for k in keys]
     layers = json.loads(trace.read_text())["layers"]
     assert len(layers) == LAYERS
-    assert layers["sequences.value"]["calls"] > 0
+    # every layer a pool call reaches records calls: a tracer that wrapped
+    # copies of the modules the worker imported would leave them at 0
+    for name in ("sequences.value", "sequences.weighted", "series.psi",
+                 "regularity.kernel_rank", "ratwords.evaluate", "verify.check_identity"):
+        assert layers[name]["calls"] > 0, name
     assert layers["sequences.value"]["cache_entries"] == 0
 
 

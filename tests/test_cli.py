@@ -716,3 +716,68 @@ def test_cli_import_loads_no_unneeded_modules():
     path, loaded = done.stdout.splitlines()
     assert path.startswith(src)
     assert loaded == "[]"
+
+
+#: argv -> the sterntwist modules, besides the package and cli, that it runs.
+_FRONT = {"regularity", "sequences", "series"}
+_SWEEP = {"columns", "sequences", "series", "verify"}
+LOAD_MAP = [
+    (["--help"], set()),
+    (["seq", "--kind", "s", "--from", "0", "--to", "8"], {"sequences"}),
+    (["count", "--pattern", "ones", "--n", "5"], {"ratwords", "sequences"}),
+    (["series", "--name", "H", "--order", "40"], _FRONT),
+    (["series", "--name", "binpart", "--order", "40"], _FRONT),
+    (["kernel", "--target", "binpart", "--depth", "3", "--order", "64"], _FRONT),
+    (["scan", "--identity", "ID3", "--e", "3"], _SWEEP),
+    (["verify", "--max-e", "3", "--max-n", "20"], _SWEEP),
+]
+
+
+@pytest.mark.parametrize("argv,runs", LOAD_MAP, ids=[" ".join(argv) for argv, _ in LOAD_MAP])
+def test_cli_runs_only_the_modules_its_subcommand_reaches(argv, runs):
+    # cli registers the modules lazily: a module runs on the first read of
+    # one of its attributes, and turns from a lazy module into a plain one.
+    # No subcommand loads typing, nor what the test above keeps out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
+    code = ("import sys, types; sys.path.insert(0, sys.argv[1]); import sterntwist.cli; "
+            "sterntwist.cli.run(sys.argv[2:]); "
+            "print(sorted(name for name, module in sys.modules.items() "
+            "if name.startswith('sterntwist') and type(module) is types.ModuleType), "
+            "sorted({'typing', 'fractions', 'dataclasses', 'inspect', 'decimal', 'numbers'}"
+            " & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    want = sorted({"sterntwist", "sterntwist.cli"} | {f"sterntwist.{m}" for m in runs})
+    assert done.stdout.splitlines()[-1] == f"{want} []"
+
+
+def test_cli_keeps_the_modules_already_imported():
+    # a library user, or the benchmark's worker, imports the modules before
+    # cli; cli must use those objects, not lazy copies of them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from sterntwist import ratwords, regularity, sequences, series, verify; "
+            "imported = [ratwords, regularity, sequences, series, verify]; "
+            "import sterntwist.cli as cli; "
+            "print(all(m is sys.modules[m.__name__] is getattr(cli, m.__name__[11:]) "
+            "for m in imported))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
+def test_cli_literals_match_their_modules(capsys):
+    # the table cap and the suite names are stated in cli, so that importing
+    # cli and building its parser run no module
+    import sterntwist.sequences as sequences
+
+    assert cli.MAX_TABLE == sequences.MAX_TABLE
+    assert cli.MAX_ORDER == sequences.MAX_TABLE - 8
+    code, out = invoke(capsys, ["verify", "--help"])
+    assert code == 0 and f"--suite {{{','.join(SUITES)}}}" in out

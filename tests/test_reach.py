@@ -2,8 +2,9 @@
 
 The reach set is the traffic the package serves: one argv of every
 subcommand, option, format and edge order; every library call of the
-benchmark's library-small pool (perfbench/pool.py); both scripts; and one
-call of each documented library function that none of those reach.  It
+benchmark's library-small pool (perfbench/pool.py); both scripts; one call
+of each documented library function that none of those reach; and a star
+import and a dir() of the package, whose exports load on first access.  It
 runs in a fresh interpreter under `sys.setprofile`, from before the package
 is imported, and every code object called is collected.  A function that
 does not run must be on one of two short lists:
@@ -194,8 +195,10 @@ def cli_argvs(bfiles: dict) -> list:
 
 def _call_the_rest() -> None:
     """One call of each documented library function that neither the CLI,
-    the benchmark nor the scripts make, and a pickle round trip of the
-    reports that `verify --jobs` workers send back."""
+    the benchmark nor the scripts make, a pickle round trip of the reports
+    that `verify --jobs` workers send back, and a star import and dir() of
+    the package."""
+    import sterntwist
     from sterntwist import (
         AffineSystem,
         DensePolynomial,
@@ -223,6 +226,9 @@ def _call_the_rest() -> None:
     assert (det_m(5), mod2(5), exact_rank([[1, 2], [2, 4], [0, 1]])) == (-2, 1, 2)
     for report in (check_det_m(16), kernel_rank("stern", stern_series(63).coeffs, 2, 2, 64)):
         assert pickle.loads(pickle.dumps(report)).to_json() == report.to_json()
+    namespace = {}
+    exec("from sterntwist import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sterntwist.__all__) <= set(dir(sterntwist))
 
 
 def run_reach_set() -> set:
@@ -273,8 +279,8 @@ def readme_api() -> set:
 def exported_names() -> set:
     import sterntwist
 
-    return {name for name, value in vars(sterntwist).items()
-            if not name.startswith("_") and not isinstance(value, type(sterntwist))}
+    return {name for name in dir(sterntwist) if not name.startswith("_")
+            and not isinstance(getattr(sterntwist, name), type(sterntwist))}
 
 
 def problems(defined, unreached, oracles, guards, test_text, readme, exported) -> list:
@@ -328,6 +334,17 @@ def test_every_function_runs_or_is_allowed():
     result = json.loads(done.stdout)
     assert problems(set(result["defined"]), set(result["unreached"]), ORACLES, GUARDS,
                     _test_text(), readme_api(), set(result["exported"])) == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import sterntwist
+
+    try:
+        sterntwist.stern_value
+    except AttributeError as exc:
+        assert str(exc) == "module 'sterntwist' has no attribute 'stern_value'"
+    else:
+        raise AssertionError("sterntwist.stern_value resolved")
 
 
 def test_the_reach_check_catches_each_kind_of_rot():
