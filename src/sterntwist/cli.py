@@ -288,7 +288,17 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+#: The largest window offset of each sweep, as in verify.WINDOW_FORMS (a
+#: test pins the two): a sweep to e needs an order of at least reach*2^e.
+CONJECTURE_REACH = {"gen": 3, "ab": 2}
+
+
 def _cmd_conjecture(args) -> int:
+    reach = CONJECTURE_REACH[args.which]
+    largest = ((MAX_ORDER - 1) // reach).bit_length() - 1
+    if args.max_e > largest:
+        raise ValueError(f"--max-e must be at most {largest}: a sweep to e needs an order "
+                         f"of at least {reach}*2^e, and orders lie below {MAX_ORDER}")
     check = verify.check_conjecture_gen if args.which == "gen" else verify.check_conjecture_ab
     _emit_reports([check(args.max_e, _order(args))], args.format)
     return 0

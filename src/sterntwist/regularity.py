@@ -9,15 +9,16 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from math import gcd
 from operator import add, index, mul, sub
 
-from .sequences import Frozen, Kind, _trimmed
+from .sequences import Frozen, Kind, _times_sparse, _trimmed
 from .series import (
     DensePolynomial,
     InternalCheckError,
     TruncatedSeries,
+    _over_one_minus,
     derivative,
     div_exact,
     div_stern,
@@ -89,16 +90,6 @@ class AffineSystem(Frozen):
         return deg
 
 
-def _apply_form(row, subs, order: int) -> list[int]:
-    """Evaluate one linear form on already-substituted unknowns."""
-    out = [0] * (order + 1)
-    for poly, sub in zip(row, subs):
-        for m, c in enumerate(poly[: order + 1]):
-            if c:
-                out[m:] = map(add, out[m:], map(mul, sub.coeffs, repeat(c)))
-    return out
-
-
 def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSeries]:
     """Unique solution, truncated at `order`, by fixed-point iteration from
     the pinned constants.
@@ -107,7 +98,7 @@ def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSerie
     so a round on a prefix settled through p settles it through k(p+1)-1
     (substitute_power refuses more).  The rounds run on those prefixes up
     to `order`; one extra round at full order must be a no-op, otherwise
-    something is deeply wrong.
+    something is deeply wrong.  Each form entry is one `_times_sparse`.
     """
     if order < 0:
         raise ValueError("order must be a natural number")
@@ -117,9 +108,14 @@ def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSerie
     k = system.k
 
     def step(vec: list[TruncatedSeries], n: int) -> list[TruncatedSeries]:
-        subs = [substitute_power(u, k, n) for u in vec]
-        return [TruncatedSeries(tuple(map(add, a.coeffs[: n + 1], _apply_form(row, subs, n))))
-                for a, row in zip(system.terms, system.forms)]
+        subs = [substitute_power(u, k, n).coeffs for u in vec]
+        out = []
+        for a, row in zip(system.terms, system.forms):
+            acc = a.coeffs[: n + 1]
+            for poly, u in zip(row, subs):
+                acc = map(add, acc, _times_sparse(u, poly, 1, n))
+            out.append(TruncatedSeries(tuple(acc)))
+        return out
 
     current = [TruncatedSeries.constant(c, 0) for c in system.constants]
     settled = 0
@@ -209,13 +205,12 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
 
 def binary_partition_series(order: int) -> TruncatedSeries:
     """Partitions into powers of two: the product of 1/(1 - z^m) over m = 2^j
-    <= order.  Dividing by 1 - z^m is a running sum over each residue class
-    mod m that holds more than one coefficient."""
+    <= order, each division by running sums with stride m
+    (`_over_one_minus`)."""
     q = list(TruncatedSeries.one(order).coeffs)
     m = 1
     while m <= order:
-        for r in range(min(m, order + 1 - m)):
-            q[r::m] = accumulate(q[r::m])
+        _over_one_minus(q, m)
         m *= 2
     return TruncatedSeries(tuple(q))
 

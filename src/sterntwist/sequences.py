@@ -8,10 +8,10 @@ the routes can be played against each other in tests.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from enum import Enum
-from itertools import compress, zip_longest
-from operator import add, index, itemgetter, neg
+from itertools import compress, repeat, zip_longest
+from operator import add, index, mul, neg, sub
 
 
 class Kind(Enum):
@@ -240,23 +240,20 @@ def enumerate_admissible(
 # ---------------------------------------------------------------------------
 
 
-def _schoolbook_mul(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b, over the nonzero terms of both operands;
-    the sparser one goes first, as `a`.  A `b` with zeros has its nonzero
-    terms listed once; a dense `b`, as in most small products, is not."""
+def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
+    """Coefficients 0..n of cs * poly(z^step), for a sparse poly: one
+    strided slice update per nonzero c_j, which adds c_j * cs at j*step
+    (j = 0 onto zeros) or, for c_j = -1, subtracts cs there."""
     out = [0] * (n + 1)
-    b = b[: n + 1]
-    if 0 not in b:
-        for i, ci in enumerate(a[: n + 1]):
-            if ci:
-                for j, cj in enumerate(b[: n + 1 - i], i):
-                    out[j] += ci * cj
-        return out
-    terms = list(compress(enumerate(b), b))
-    for i, ci in enumerate(a[: n + 1]):
-        if ci:
-            for j, cj in terms[: bisect_right(terms, n - i, key=itemgetter(0))]:
-                out[i + j] += ci * cj
+    for j, c in compress(enumerate(poly), poly):
+        lo, k = j * step, min(len(cs), n + 1 - j * step)
+        if k <= 0:
+            break
+        if c == -1:
+            out[lo : lo + k] = map(sub, out[lo : lo + k], cs[:k])
+        else:
+            part = cs[:k] if c == 1 else map(mul, cs[:k], repeat(c))
+            out[lo : lo + k] = map(add, out[lo : lo + k], part) if j else part
     return out
 
 
@@ -344,7 +341,9 @@ class IntPolynomial(Frozen):
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return self._of_ints(tuple(_schoolbook_mul(a, b, len(a) + len(b) - 2)))
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        return self._of_ints(tuple(_times_sparse(b, a, 1, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
@@ -369,7 +368,7 @@ class IntPolynomial(Frozen):
 
 class WeightPolynomial(IntPolynomial):
     """Integer polynomial in w; coeffs[k] is the coefficient of w^k.  Its
-    products stay schoolbook: S and S_e have small degree and coefficients."""
+    products take `_times_sparse`, the sparser operand as the factor."""
 
     __slots__ = ()
     var = "w"

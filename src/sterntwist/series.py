@@ -16,7 +16,7 @@ from .sequences import (
     Frozen,
     IntPolynomial,
     Kind,
-    _schoolbook_mul,
+    _times_sparse,
     prefix,
     render_coeffs,
 )
@@ -42,20 +42,21 @@ class InternalCheckError(RuntimeError):
 # upper half of the quotient comes from the remainder the lower half leaves.
 # Each level makes two dense products with a half-length operand, on the
 # precisions ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or the
-# denominator's tail) has at most SPARSE_TERMS nonzero coefficients, the
-# schoolbook loops are faster and run instead.  The Stern series needs no
-# product at all: `div_stern` divides by it through Carlitz's product form,
-# and `mul_stern` multiplies by it through its Mahler equation.  Sparse
-# factors multiply by strided slices (`_times_sparse`), so no command reaches
-# this kernel; it serves the library's `TruncatedSeries.__mul__`,
-# `DensePolynomial.__mul__`, dense `div_exact` and `p_product_logderiv`.
+# denominator's tail) has at most SPARSE_TERMS nonzero coefficients, products
+# take `sequences._times_sparse`, every sparse factor's one slice product, and
+# division the term recurrence.  The Stern series needs no product:
+# `div_stern` divides by it through Carlitz's product form (each 1 - z^L by
+# `_over_one_minus`), and `mul_stern` multiplies by it through its Mahler
+# equation.  So no command reaches this kernel; it serves the library's
+# `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`, dense `div_exact` and
+# `p_product_logderiv`.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's
-#: tail) that still takes the schoolbook loops.  Measured against a dense
-#: operand at orders 128-8192, products break even at 24-48 terms; sparse
-#: division stays ahead of the dense route well past that, and the
-#: denominators in use have at most two tail terms or are dense.
+#: tail) that takes the sparse routes.  Against `_kron_mul` and a dense
+#: operand, `_times_sparse` breaks even at 16-32 terms at orders 1024-4096
+#: with 8-bit coefficients, at about 48 with 64-bit ones (CPython 3.11.7);
+#: sparse division stays ahead of the dense route well past that.
 SPARSE_TERMS = 32
 
 
@@ -91,8 +92,8 @@ def _kron_mul(a, b, n: int) -> list[int]:
 
 def _mul_coeffs(a, b, n: int) -> list[int]:
     """Coefficients 0..n of a*b: Kronecker over CPython ints when both
-    operands have more than SPARSE_TERMS nonzero coefficients, the
-    schoolbook loop otherwise."""
+    operands have more than SPARSE_TERMS nonzero coefficients, otherwise
+    one slice update per nonzero term of the sparser (`_times_sparse`)."""
     a = a[: n + 1]
     b = b[: n + 1]
     na = len(a) - a.count(0)
@@ -101,7 +102,7 @@ def _mul_coeffs(a, b, n: int) -> list[int]:
         a, b, na = b, a, nb
     if na > SPARSE_TERMS:
         return _kron_mul(a, b, n)
-    return _schoolbook_mul(a, b, n)
+    return _times_sparse(b, a, 1, n)
 
 
 def _quotient(m, d, n: int) -> list[int]:
@@ -280,14 +281,25 @@ def div_exact(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(q))
 
 
+def _over_one_minus(q: list, step: int) -> None:
+    """Divide q, coefficients 0..n, by 1 - z^step in place: one `accumulate`
+    per residue class while step^2 <= n, else one addition of each
+    length-step block to the next, whichever takes fewer slices."""
+    n = len(q) - 1
+    if step * step <= n:
+        for r in range(step):
+            q[r::step] = accumulate(q[r::step])
+    else:
+        for j in range(step, n + 1, step):
+            q[j : j + step] = map(add, q[j : j + step], q[j - step : j])
+
+
 def div_stern(num: TruncatedSeries) -> TruncatedSeries:
     """div_exact(num, stern_series(num.order + 1)), errors included, through
     Carlitz's product: the Stern series is z times the product over m = 2^k
     of 1 + z^m + z^(2m) = (1 - z^(3m))/(1 - z^m).  Dividing by a factor with
     m <= n is one strided subtraction (times 1 - z^m), then running sums
-    with stride L = 3m (over 1 - z^L): one `accumulate` per residue class
-    while L^2 <= n, else one addition of each length-L block to the next,
-    whichever takes fewer slices.  O(n log n) slice work, no product.
+    with stride 3m (`_over_one_minus`).  O(n log n) slice work, no product.
     """
     if num.coeffs[0]:
         raise DivisionError("numerator valuation is below denominator valuation")
@@ -298,13 +310,7 @@ def div_stern(num: TruncatedSeries) -> TruncatedSeries:
     for k in range(n.bit_length()):
         m = 1 << k
         q[m:] = map(sub, q[m:], q[: n + 1 - m])
-        step = 3 * m
-        if step * step <= n:
-            for r in range(step):
-                q[r::step] = accumulate(q[r::step])
-        else:
-            for j in range(step, n + 1, step):
-                q[j : j + step] = map(add, q[j : j + step], q[j - step : j])
+        _over_one_minus(q, 3 * m)
     return TruncatedSeries(tuple(q))
 
 
@@ -405,21 +411,6 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Dense integer polynomials in z.
 # ---------------------------------------------------------------------------
-
-
-def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
-    """Coefficients 0..n of cs * poly(z^step), for a short poly: one strided
-    slice update per nonzero c_j, which adds c_j * cs at j*step (j = 0 onto
-    zeros) or, for c_j = -1, subtracts cs there."""
-    out = [0] * (n + 1)
-    for j, c in enumerate(poly):
-        lo, k = j * step, min(len(cs), n + 1 - j * step)
-        if c == -1 and k > 0:
-            out[lo : lo + k] = map(sub, out[lo : lo + k], cs[:k])
-        elif c and k > 0:
-            part = cs[:k] if c == 1 else map(mul, cs[:k], repeat(c))
-            out[lo : lo + k] = map(add, out[lo : lo + k], part) if j else part
-    return out
 
 
 class DensePolynomial(IntPolynomial):

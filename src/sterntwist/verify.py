@@ -743,7 +743,7 @@ def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> Veri
         raise ValueError("e_max must be a natural number")
     reach = max(a for terms, _, _ in forms for _, _, a in terms)
     if order < reach << e_max:
-        raise ValueError(f"order must be at least {reach}*2^e_max")
+        raise ValueError(f"order must be at least {reach << e_max} ({reach}*2^e_max)")
     least = max(len(lead) for _, _, lead in forms) - 1
     if order < least:
         raise ValueError(f"order must be at least {least} "

@@ -364,7 +364,8 @@ def test_conjecture_below_the_checked_prefix_names_the_least_order(capsys, which
         code = run(["conjecture", "--which", which, "--max-e", str(e_max), "--order", str(order)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == f"conjecture: order must be at least {window}*2^e_max\n"
+        assert captured.err == (f"conjecture: order must be at least {window << e_max} "
+                                f"({window}*2^e_max)\n")
     # orders from the window bound window*2^e_max on still miss the leading
     # quotient coefficients the sweep compares, up to `least`
     for order in range(window << e_max, least):
@@ -375,6 +376,36 @@ def test_conjecture_below_the_checked_prefix_names_the_least_order(capsys, which
     code, out = invoke(capsys, ["conjecture", "--which", which, "--max-e", str(e_max),
                                 "--order", str(least)])
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("which", ["gen", "ab"])
+def test_conjecture_refuses_a_max_e_no_order_below_the_cap_can_sweep(capsys, which):
+    # 19 is the largest e_max whose least order, reach*2^e_max, lies below
+    # MAX_ORDER, for both sweeps; a larger one is refused before any table
+    # grows, whatever the order
+    reach = cli.CONJECTURE_REACH[which]
+    assert reach << 19 < MAX_ORDER <= reach << 20
+    lengths = {kind: len(table) for kind, table in _PREFIXES.items()}
+    for max_e, order in [(20, MAX_ORDER - 1), (20, None), (1 << 70, 5)]:
+        argv = ["conjecture", "--which", which, "--max-e", str(max_e)]
+        code = run(argv + ([] if order is None else ["--order", str(order)]))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"conjecture: --max-e must be at most 19: a sweep to e needs "
+                                f"an order of at least {reach}*2^e, and orders lie below "
+                                f"{MAX_ORDER}\n")
+    code = run(["conjecture", "--which", which, "--max-e", "19", "--order", "9"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"conjecture: order must be at least {reach << 19} ({reach}*2^e_max)\n"
+    assert {kind: len(table) for kind, table in _PREFIXES.items()} == lengths
+
+
+def test_conjecture_reach_matches_the_window_forms():
+    # cli states each sweep's reach so that it refuses before verify runs
+    for which, names in [("gen", ("u",)), ("ab", ("A", "B"))]:
+        offsets = [a for name in names for _, _, a in verify.WINDOW_FORMS[name][0]]
+        assert cli.CONJECTURE_REACH[which] == max(offsets)
 
 
 def test_count(capsys):
@@ -697,51 +728,45 @@ def test_exit_code_contract(argv):
         assert any("FAIL" in line for line in out.splitlines()), (argv, out)
 
 
-def test_cli_import_loads_no_unneeded_modules():
-    # series are integer-only, so nothing on the CLI's import path needs
-    # rational arithmetic; the classes are plain slotted ones, so neither
-    # dataclasses nor the inspect it pulls in is needed; products take
-    # CPython ints, so neither decimal nor the numbers it pulls in is.  -S
-    # keeps the imports of `site` out, which could load or hide any of them.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sterntwist.cli; "
-            "print(sterntwist.cli.__file__); "
-            "print(sorted({'fractions', 'dataclasses', 'inspect', 'decimal', 'numbers'}"
-            " & set(sys.modules)))")
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, src],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    path, loaded = done.stdout.splitlines()
-    assert path.startswith(src)
-    assert loaded == "[]"
-
-
 #: argv -> the sterntwist modules, besides the package and cli, that it runs.
 _FRONT = {"regularity", "sequences", "series"}
 _SWEEP = {"columns", "sequences", "series", "verify"}
 LOAD_MAP = [
     (["--help"], set()),
     (["seq", "--kind", "s", "--from", "0", "--to", "8"], {"sequences"}),
+    (["oeis-check", "--id", "A002487", "--bfile", "{bfile}"], {"sequences"}),
     (["count", "--pattern", "ones", "--n", "5"], {"ratwords", "sequences"}),
+    (["series", "--name", "psi", "--e", "3"], {"series", "sequences"}),
+    (["series", "--name", "carlitz"], {"series", "sequences"}),
     (["series", "--name", "H", "--order", "40"], _FRONT),
+    (["series", "--name", "C"], _FRONT),
     (["series", "--name", "binpart", "--order", "40"], _FRONT),
     (["kernel", "--target", "binpart", "--depth", "3", "--order", "64"], _FRONT),
+    (["series", "--name", "u"], _SWEEP),
     (["scan", "--identity", "ID3", "--e", "3"], _SWEEP),
     (["verify", "--max-e", "3", "--max-n", "20"], _SWEEP),
+    (["conjecture", "--which", "gen", "--max-e", "2", "--order", "64"], _SWEEP),
 ]
 
 
 @pytest.mark.parametrize("argv,runs", LOAD_MAP, ids=[" ".join(argv) for argv, _ in LOAD_MAP])
-def test_cli_runs_only_the_modules_its_subcommand_reaches(argv, runs):
+def test_cli_runs_only_the_modules_its_subcommand_reaches(argv, runs, tmp_path):
     # cli registers the modules lazily: a module runs on the first read of
     # one of its attributes, and turns from a lazy module into a plain one.
-    # No subcommand loads typing, nor what the test above keeps out
+    # Series are integer-only, so no subcommand needs fractions; the
+    # classes are plain slotted ones, so none needs dataclasses or the
+    # inspect it pulls in; products take CPython ints, so none needs
+    # decimal or numbers; nor typing.  -S keeps the imports of `site` out,
+    # which could load or hide any of them, and the cli run is the one
+    # under src
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 0\n1 1\n2 1\n")
+    argv = [arg.format(bfile=bfile) for arg in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(sterntwist.__file__)))
     code = ("import sys, types; sys.path.insert(0, sys.argv[1]); import sterntwist.cli; "
-            "sterntwist.cli.run(sys.argv[2:]); "
-            "print(sorted(name for name, module in sys.modules.items() "
+            "print(sterntwist.cli.__file__); "
+            "code = sterntwist.cli.run(sys.argv[2:]); "
+            "print(code, sorted(name for name, module in sys.modules.items() "
             "if name.startswith('sterntwist') and type(module) is types.ModuleType), "
             "sorted({'typing', 'fractions', 'dataclasses', 'inspect', 'decimal', 'numbers'}"
             " & set(sys.modules)))")
@@ -750,8 +775,10 @@ def test_cli_runs_only_the_modules_its_subcommand_reaches(argv, runs):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith(src)
     want = sorted({"sterntwist", "sterntwist.cli"} | {f"sterntwist.{m}" for m in runs})
-    assert done.stdout.splitlines()[-1] == f"{want} []"
+    assert lines[-1] == f"0 {want} []"
 
 
 def test_cli_keeps_the_modules_already_imported():

@@ -112,12 +112,11 @@ def test_series_mul_matches_schoolbook(a, b):
 @example([0, 3, 0, 0, 5], [2, 0, 0, 0, 0, 7], 6)
 @example([1, 0, 2], [3, 4], 1)
 def test_sparse_schoolbook_matches_the_double_loop(a, b, n):
-    # both routes of the schoolbook loop: over all of a dense `b`, and over
-    # the listed nonzero terms of one with zeros, cut at n; and the Kronecker
-    # route, also with n + 1 past the product's slots, whose top slots must
-    # read 0
-    assert sequences._schoolbook_mul(a, b, n) == schoolbook_mul(a, b, n)
-    assert sequences._schoolbook_mul(b, a, n) == schoolbook_mul(b, a, n)
+    # the slice product with either operand as the factor, dense or with
+    # zeros, cut at n; and the Kronecker route, also with n + 1 past the
+    # product's slots, whose top slots must read 0
+    assert sequences._times_sparse(a, b, 1, n) == schoolbook_mul(a, b, n)
+    assert sequences._times_sparse(b, a, 1, n) == schoolbook_mul(b, a, n)
     assert series._kron_mul(a, b, n) == schoolbook_mul(a, b, n)
 
 

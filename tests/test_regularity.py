@@ -169,15 +169,16 @@ def affine_systems(draw):
 def test_prefix_rounds_match_the_full_order_iteration(case):
     system, order = case
     computed = []
-    apply_form = regularity._apply_form
+    substitute = regularity.substitute_power
 
-    def counted(row, subs, n):
+    def counted(u, k, n):
+        # called once per unknown per round, with the round's order n
         computed.append(n + 1)
-        return apply_form(row, subs, n)
+        return substitute(u, k, n)
 
     want = _solve_at_full_order(system, order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "_apply_form", counted)
+        mp.setattr(regularity, "substitute_power", counted)
         got = solve_affine_system(system, order)
     assert [list(u.coeffs) for u in got] == want
     # the rounds grow k-fold up to order, then one check round at order
