@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Contrast section-rank growth of the catalogued targets at a few orders.
+"""Contrast section-rank growth of the catalogued targets at a few orders,
+one `sterntwist kernel` line per target and order.
 
 Bounded, stabilising ranks are evidence of base-2 regularity (stern, H, C);
 the binary-partition counts grow rank by rank instead.
@@ -15,13 +16,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sterntwist.regularity import (
-    binary_partition_series,
-    c_series,
-    h_series,
-    kernel_rank,
-)
-from sterntwist.series import stern_series
+from sterntwist.cli import run
 
 
 def main() -> int:
@@ -29,28 +24,17 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=6)
     args = parser.parse_args()
 
-    orders = [512, 1024, 2048]
-    targets = {
-        "stern": lambda order: stern_series(order - 1).coeffs,
-        "H": lambda order: h_series(order - 1).coeffs,
-        "C": lambda order: c_series(order - 1).coeffs,
-        "binpart": lambda order: binary_partition_series(order - 1).coeffs,
-    }
-    try:
-        for name, values_of in targets.items():
-            lines = [name]
-            for order in orders:
-                depth = args.depth
-                while 2**depth * 16 > order:
-                    depth -= 1
-                probe = kernel_rank(name, values_of(order), 2, depth, order)
-                stability = "stable" if probe.stable else "UNSTABLE"
-                lines.append(f"  order {order:>5}: ranks {list(probe.ranks)} ({stability})")
-            print("\n".join(lines))
-    except ValueError as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    worst = 0
+    for target in ("stern", "H", "C", "binpart"):
+        for order in (512, 1024, 2048):
+            # the deepest depth whose sections keep at least 16 terms
+            depth = min(args.depth, order.bit_length() - 5)
+            code = run(["kernel", "--target", target, "--depth", str(depth),
+                        "--order", str(order)])
+            if code == 2:
+                return 2
+            worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

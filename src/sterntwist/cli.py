@@ -6,13 +6,15 @@ Exit codes: 0 all checks pass / output produced; 1 a verification found a
 counterexample outside conjectures and flagged typos; 2 usage or input
 error, which a subcommand raises as ValueError or OSError (a refused
 argument, an unreadable b-file, a failed write) for `run` alone to report.
-All numeric output is decimal strings; nothing is ever a float.
+All numeric output is decimal strings; nothing is ever a float.  A run
+reads its argv and nothing else (besides the b-file an argv names), so one
+argv always prints the same output.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
-import os
 import sys
 
 
@@ -116,31 +118,14 @@ def _emit_reports(reports, fmt: str) -> None:
             print(r.summary_line())
 
 
-#: Environment variable that overrides TRUNCATION_ORDER; --order wins over
-#: both.
-ORDER_ENV_VAR = "STERNTWIST_ORDER"
-
-#: Truncation order of the series when neither --order nor the environment
-#: gives one.
+#: Truncation order of the series when --order is not given.
 TRUNCATION_ORDER = 1024
 
 #: Default --max-e of `verify`.
 MAX_E = 10
 
-
-def _default_order() -> int:
-    """The environment's order if set, else the built-in; a set value that
-    is not a natural number raises ValueError."""
-    env = os.environ.get(ORDER_ENV_VAR)
-    if env is None:
-        return TRUNCATION_ORDER
-    try:
-        value = int(env)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{ORDER_ENV_VAR} must be a natural number, got {env!r}") from None
-    return value
+#: Default --max-n of `verify`.
+MAX_N = 1024
 
 
 #: sequences.MAX_TABLE, the most entries a prefix table may hold, stated
@@ -153,8 +138,8 @@ MAX_ORDER = MAX_TABLE - 8
 
 
 def _order(args) -> int:
-    """--order, else the default order; refused unless 0 <= order < MAX_ORDER."""
-    order = args.order if args.order is not None else _default_order()
+    """--order, else TRUNCATION_ORDER; refused unless 0 <= order < MAX_ORDER."""
+    order = args.order if args.order is not None else TRUNCATION_ORDER
     if order < 0:
         raise ValueError("order must be a natural number")
     if order >= MAX_ORDER:
@@ -257,8 +242,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_limit = args.max_n if args.max_n is not None else _default_order()
-    reports = verify.run_suite(args.suite, args.max_e, n_limit, jobs=args.jobs)
+    reports = verify.run_suite(args.suite, args.max_e, args.max_n, jobs=args.jobs)
     _emit_reports(reports, args.format)
     return 1 if any(r.blocking for r in reports) else 0
 
@@ -346,7 +330,12 @@ def _cmd_oeis_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process, so that a script's many `run`
+    calls pay for it once.  Each subcommand's handler is bound when it is
+    built: patching a `_cmd_*` function afterwards changes nothing (no test
+    does)."""
     parser = argparse.ArgumentParser(
         prog="sterntwist",
         description="Exact sequences, series and verification sweeps for the "
@@ -379,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--max-e", dest="max_e", type=int, default=MAX_E)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    p.add_argument("--max-n", dest="max_n", type=int, default=MAX_N)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_verify)

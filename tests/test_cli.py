@@ -15,7 +15,7 @@ import sterntwist.cli as cli
 import sterntwist.regularity as regularity
 import sterntwist.series as series
 import sterntwist.verify as verify
-from sterntwist.cli import MAX_ORDER, ORDER_ENV_VAR, BFileFormatError, parse_bfile, run
+from sterntwist.cli import MAX_ORDER, BFileFormatError, parse_bfile, run
 from sterntwist.regularity import binary_partition_series, h_series
 from sterntwist.sequences import MAX_TABLE, _PREFIXES, stern
 from sterntwist.verify import REGISTRY, SUITES
@@ -138,16 +138,6 @@ def test_series_psi_needs_e(capsys):
     assert json.loads(out)["coefficients"] == ["0", "1", "1", "2", "1", "1"]
 
 
-@pytest.mark.parametrize("value", ["-1", "5000000", "not-a-number"])
-def test_series_psi_reads_no_order(capsys, monkeypatch, value):
-    # psi's degree is set by --e, so a bad or capped order in the
-    # environment is never read
-    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
-    _, want = invoke(capsys, ["series", "--name", "psi", "--e", "2"])
-    monkeypatch.setenv(ORDER_ENV_VAR, value)
-    assert invoke(capsys, ["series", "--name", "psi", "--e", "2"]) == (0, want)
-
-
 @pytest.mark.parametrize("argv, message", [
     (["--name", "psi", "--e", "2", "--order", "5"],
      "--order does not apply to psi, whose --e sets its degree"),
@@ -202,38 +192,28 @@ def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
         assert calls == [], argv
 
 
-def test_series_env_default_order(capsys, monkeypatch):
-    monkeypatch.setenv(ORDER_ENV_VAR, "7")
-    code, out = invoke(capsys, ["series", "--name", "stern", "--format", "json"])
-    assert json.loads(out)["order"] == 7
-    # an explicit flag wins over the environment
-    code, out = invoke(capsys, ["series", "--name", "stern", "--order", "3", "--format", "json"])
-    assert json.loads(out)["order"] == 3
-    # a bad value is never read when the flag is given
-    monkeypatch.setenv(ORDER_ENV_VAR, "not-a-number")
-    code, out = invoke(capsys, ["series", "--name", "stern", "--order", "3", "--format", "json"])
-    assert json.loads(out)["order"] == 3
-    monkeypatch.delenv(ORDER_ENV_VAR)
+def test_series_default_order(capsys):
     code, out = invoke(capsys, ["series", "--name", "stern", "--format", "json"])
     assert json.loads(out)["order"] == 1024
+    code, out = invoke(capsys, ["series", "--name", "stern", "--order", "3", "--format", "json"])
+    assert json.loads(out)["order"] == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", ""])
+@pytest.mark.parametrize("value", ["7", "abc", "-3", ""])
 @pytest.mark.parametrize("argv", [
     ["series", "--name", "stern"],
+    ["series", "--name", "psi", "--e", "2"],
     ["verify", "--suite", "mod2"],
     ["kernel", "--target", "stern"],
     ["conjecture", "--which", "gen", "--max-e", "2"],
 ])
-def test_bad_env_order_exits_2(capsys, monkeypatch, argv, value):
-    monkeypatch.setenv(ORDER_ENV_VAR, value)
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        f"{argv[0]}: {ORDER_ENV_VAR} must be a natural number, got {value!r}\n"
-    )
+def test_the_environment_changes_no_output(capsys, monkeypatch, argv, value):
+    # a run reads its argv alone: no value of STERNTWIST_ORDER changes the
+    # exit code or stdout
+    monkeypatch.delenv("STERNTWIST_ORDER", raising=False)
+    want = invoke(capsys, argv)
+    monkeypatch.setenv("STERNTWIST_ORDER", value)
+    assert invoke(capsys, argv) == want
 
 
 def test_verify_exit_codes_and_formats(capsys):
@@ -329,7 +309,6 @@ def test_kernel_refuses_its_arguments_before_building_the_series(capsys, monkeyp
     def unbuilt(*args):
         raise AssertionError("the target series was built")
 
-    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
     monkeypatch.setattr(cli, "_series_by_name", unbuilt)
     code = run(["kernel", "--target", target, *argv])
     captured = capsys.readouterr()
