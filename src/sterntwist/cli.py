@@ -242,7 +242,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify.run_suite(args.suite, args.max_e, args.max_n, jobs=args.jobs)
+    reports = verify.run_suite(args.suite, args.max_e, args.max_n)
     _emit_reports(reports, args.format)
     return 1 if any(r.blocking for r in reports) else 0
 
@@ -369,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-e", dest="max_e", type=int, default=MAX_E)
     p.add_argument("--max-n", dest="max_n", type=int, default=MAX_N)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_verify)
 

@@ -33,8 +33,8 @@ class Frozen:
     in `__init__`, through `object.__setattr__` (`_set_fields`, except in
     the hot one-field constructors of IntPolynomial and TruncatedSeries);
     assigning or deleting an attribute afterwards raises AttributeError.
-    `__setstate__` sets the fields the same way, so instances still pickle
-    and copy."""
+    `__setstate__` sets the fields the same way, so instances pickle and
+    copy; both are library protocol."""
 
     __slots__ = ()
 

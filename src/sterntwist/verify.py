@@ -18,7 +18,6 @@ likewise only ever produce evidence reports.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Callable
 from itertools import chain, repeat
 from operator import add, and_, mul, sub
@@ -374,7 +373,7 @@ def _bound_tables(e_max: int, n_limit: int = 0) -> None:
     """Refuse, before any table grows, an e_max or n_limit whose tables
     (9*2^e_max + 1 or n_limit + 1 entries) would pass MAX_TABLE;
     `verify --suite all` at both caps (e_max <= 17, n_limit < 2^21) peaks
-    at 161 MiB."""
+    at 157 MiB (its own getrusage peak, CPython 3.11.7)."""
     cap = f"(tables are capped at {MAX_TABLE} entries)"
     if e_max > MAX_TABLE.bit_length() or (9 << e_max) + 1 > MAX_TABLE:
         raise ValueError(f"e_max must be at most {((MAX_TABLE - 1) // 9).bit_length() - 1} {cap}")
@@ -460,23 +459,11 @@ def check_identity(identity: str, e_max: int, n_policy: str = PRINTED_RANGE
     return report
 
 
-def check_all_identities(e_max: int, jobs: int = 1) -> list[VerificationReport]:
-    """Printed-range sweep of every registry entry stated for some
-    e <= e_max, optionally fanned out over at most one worker process per
-    identity; output order is registry order either way.  When no process
-    pool can be had, the sweep runs serially and says so on stderr."""
-    ids = [i for i, record in REGISTRY.items() if record.e_min <= e_max]
-    workers = min(jobs, len(ids))
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(check_identity, ids, repeat(e_max)))
-        except (ImportError, OSError) as exc:
-            print(f"verify: process pool unavailable ({exc}); ran serially",
-                  file=sys.stderr)
-    return [check_identity(i, e_max) for i in ids]
+def check_all_identities(e_max: int) -> list[VerificationReport]:
+    """Printed-range sweep, in registry order, of every registry entry
+    stated for some e <= e_max."""
+    return [check_identity(i, e_max) for i, record in REGISTRY.items()
+            if record.e_min <= e_max]
 
 
 # ---------------------------------------------------------------------------
@@ -789,19 +776,16 @@ def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
 SUITES = ("all", "identities", "matrices", "divisibility", "mod2", "palindrome")
 
 
-def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
-              ) -> list[VerificationReport]:
+def run_suite(suite: str, e_max: int, n_limit: int) -> list[VerificationReport]:
     """Run one named verification suite; `all` also appends the partial-sum
     checks.  Tables past MAX_TABLE are refused before any table grows."""
     if e_max < 0:
         raise ValueError("e_max must be a natural number")
     if n_limit < 2:
         raise ValueError("n_limit must be at least 2")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     _bound_tables(e_max, n_limit)
     if suite == "identities":
-        return check_all_identities(e_max, jobs=jobs)
+        return check_all_identities(e_max)
     if suite == "matrices":
         return [check_det_m(n_limit), check_det_families(e_max)]
     if suite == "divisibility":
@@ -811,7 +795,7 @@ def run_suite(suite: str, e_max: int, n_limit: int, jobs: int = 1
     if suite == "palindrome":
         return [check_palindrome(e_max)]
     if suite == "all":
-        return check_all_identities(e_max, jobs=jobs) + [
+        return check_all_identities(e_max) + [
             check_det_m(n_limit), check_det_families(e_max),
             check_divisibility(n_limit), check_mod2(n_limit),
             check_palindrome(e_max), check_partial_sums(e_max),

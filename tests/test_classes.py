@@ -1,4 +1,6 @@
-"""The package's value classes: immutability, equality, hashing, pickling."""
+"""The package's value classes: immutability, equality, hashing, pickling
+and copying."""
+import copy
 import pickle
 
 import pytest
@@ -43,11 +45,11 @@ def test_frozen_classes_refuse_assignment(name):
 def test_frozen_values_pickle(name):
     build, field = FROZEN[name]
     obj = build()
-    copy = pickle.loads(pickle.dumps(obj))
-    assert type(copy) is type(obj)
-    assert getattr(copy, field) == getattr(obj, field)
-    with pytest.raises(AttributeError):
-        setattr(copy, field, getattr(obj, field))
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is type(obj)
+        assert getattr(twin, field) == getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(obj, field))
 
 
 def test_polynomial_and_series_reprs():
@@ -74,14 +76,14 @@ def test_reports_do_not_share_counterexamples():
 
 
 def test_report_survives_a_pickle_round_trip():
-    # reports cross the --jobs process pool this way
+    # pickling is library protocol: a caller may store or send its reports
     scan = check_identity("ID3", 3, "scan")
     sweep = check_identity("ID7", 4)
     assert sweep.counterexamples and scan.scanned
     for report in (scan, sweep):
-        copy = pickle.loads(pickle.dumps(report))
-        assert type(copy) is VerificationReport
-        assert copy.to_json() == report.to_json()
-        assert copy.summary_line() == report.summary_line()
-        assert (copy.conjecture, copy.status, copy.blocking) == (
+        twin = pickle.loads(pickle.dumps(report))
+        assert type(twin) is VerificationReport
+        assert twin.to_json() == report.to_json()
+        assert twin.summary_line() == report.summary_line()
+        assert (twin.conjecture, twin.status, twin.blocking) == (
             report.conjecture, report.status, report.blocking)

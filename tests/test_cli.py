@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,17 +243,6 @@ def test_verify_deterministic_output(capsys):
     _, first = invoke(capsys, args)
     _, second = invoke(capsys, args)
     assert first == second
-
-
-def test_verify_jobs_do_not_change_output(capsys):
-    # the reports come back from the pool's workers pickled, counterexamples
-    # and all
-    for fmt, shown in (("table", "first-counterexample="), ("json", '"counterexamples": [[')):
-        argv = ["verify", "--suite", "identities", "--max-e", "13", "--format", fmt]
-        serial = invoke(capsys, argv + ["--jobs", "1"])
-        parallel = invoke(capsys, argv + ["--jobs", "2"])
-        assert serial[0] == 0 and shown in serial[1]
-        assert parallel == serial
 
 
 def test_scan(capsys):
@@ -514,6 +505,7 @@ def test_usage_errors(capsys):
     ["verify", "--max-e", "-1"],
     ["verify", "--max-n", "-5"],
     ["verify", "--max-n", "1"],
+    ["verify", "--jobs", "2"],  # no such option: argparse refuses it
     ["verify", "--jobs", "-3"],
     ["verify", "--jobs", "0"],
     ["scan", "--identity", "ID3", "--e", "-1"],
@@ -527,14 +519,17 @@ def test_usage_errors(capsys):
     ["seq", "--kind", "s", "--from", "1", "--to", str(MAX_TABLE + 1)],
 ])
 def test_bad_argv_exits_2(capsys, argv):
-    # each is rejected before any sweep runs, any worker process starts or
-    # either prefix table grows
+    # each is rejected before any sweep runs or either prefix table grows
     before = [len(table) for table in _PREFIXES.values()]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"{argv[0]}: ")
+    if "--jobs" in argv:
+        unknown = " ".join(argv[1:])
+        assert captured.err.endswith(f"sterntwist: error: unrecognized arguments: {unknown}\n")
+    else:
+        assert captured.err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in captured.err
     assert [len(table) for table in _PREFIXES.values()] == before
 
@@ -593,27 +588,10 @@ def test_identity_below_its_e_min(capsys):
     assert len(listed) == 18
 
 
-def test_pool_failure_keeps_stdout(capsys, monkeypatch):
-    import concurrent.futures
-
-    def broken(max_workers):
-        raise OSError("no semaphores")
-
-    argv = ["verify", "--suite", "identities", "--max-e", "3", "--format", "json"]
-    code, expected = invoke(capsys, argv)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken)
-    code = run(argv + ["--jobs", "2"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out == expected
-    assert captured.err == "verify: process pool unavailable (no semaphores); ran serially\n"
-
-
 # ---------------------------------------------------------------------------
 # The exit-code contract over generated argv: 0 ok, 1 only with a FAIL line,
-# 2 for usage or input errors, never a traceback.  Sizes stay small, every
-# order is given on the command line and --jobs stays at most 1, so no
-# example reads the environment or starts a process.
+# 2 for usage or input errors, never a traceback.  Sizes stay small and
+# every order is given on the command line.
 # ---------------------------------------------------------------------------
 
 #: n of about 1500 and 6000 bits.  Hypothesis raises the recursion limit by
@@ -658,7 +636,7 @@ def _argv(draw):
     if command == "verify":
         return (["verify", "--suite", draw(st.sampled_from(SUITES)),
                  "--max-e", draw(_num(-2, 5)), "--max-n", draw(_num(-5, 512))]
-                + draw(_opt("--jobs", _num(-2, 1))) + draw(_fmt("table", "json")))
+                + draw(_fmt("table", "json")))
     if command == "scan":
         identity = draw(st.sampled_from(list(REGISTRY) + ["NOPE"]))
         return ["scan", "--identity", identity, "--e", draw(_num(-2, 5))] + draw(
@@ -758,6 +736,20 @@ def test_cli_runs_only_the_modules_its_subcommand_reaches(argv, runs, tmp_path):
     assert lines[0].startswith(src)
     want = sorted({"sterntwist", "sterntwist.cli"} | {f"sterntwist.{m}" for m in runs})
     assert lines[-1] == f"0 {want} []"
+
+
+def test_no_module_starts_a_process():
+    # sterntwist runs in one process: no module imports a way to start another
+    starters = {"concurrent", "multiprocessing", "subprocess"}
+    for path in Path(sterntwist.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & starters, path.name
 
 
 def test_cli_keeps_the_modules_already_imported():

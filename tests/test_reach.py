@@ -129,7 +129,7 @@ def _write_bfiles(folder: Path) -> dict:
 
 def cli_argvs(bfiles: dict) -> list:
     """One argv of every subcommand, option, format and edge order, and the
-    refusals; no `--jobs` above 1, whose workers the profiler cannot see."""
+    refusals."""
     argvs = [["--help"], [], ["seq", "--kind", "x"]]
     for kind in ("s", "t", "S", "Se"):
         for fmt in ("text", "csv", "json"):
@@ -153,9 +153,9 @@ def cli_argvs(bfiles: dict) -> list:
         argvs.append(["verify", "--suite", suite, "--max-e", "4", "--max-n", "64"])
     argvs += [["verify", "--suite", "all", "--max-e", "3", "--max-n", "2", "--format", "json"],
               ["verify", "--suite", "divisibility", "--max-n", "3"],
-              ["verify", "--suite", "mod2", "--max-e", "2", "--jobs", "1"],
+              ["verify", "--suite", "mod2", "--max-e", "2"],
               ["verify", "--max-n", "1"], ["verify", "--max-e", "-1"],
-              ["verify", "--jobs", "0"], ["verify", "--max-e", "18"]]
+              ["verify", "--max-e", "18"]]
     argvs += [["scan", "--identity", "ID3", "--e", "5"],
               ["scan", "--identity", "DIV-T", "--e", "4", "--format", "json"],
               ["scan", "--identity", "NOPE", "--e", "2"],
@@ -195,9 +195,9 @@ def cli_argvs(bfiles: dict) -> list:
 
 def _call_the_rest() -> None:
     """One call of each documented library function that neither the CLI,
-    the benchmark nor the scripts make, a pickle round trip of the reports
-    that `verify --jobs` workers send back, and a star import and dir() of
-    the package."""
+    the benchmark nor the scripts make, a pickle round trip of two reports
+    (pickling is library protocol), and a star import and dir() of the
+    package."""
     import sterntwist
     from sterntwist import (
         AffineSystem,

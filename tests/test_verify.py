@@ -414,8 +414,6 @@ def test_empty_sweeps_are_rejected():
         run_suite("identities", -1, 64)
     with pytest.raises(ValueError, match="n_limit must be at least 2"):
         run_suite("matrices", 3, 1)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_suite("all", 3, 64, jobs=0)
 
 
 def test_partial_sums():
@@ -874,39 +872,6 @@ def test_identities_below_their_e_min():
     assert at_0 == [i for i in REGISTRY if i not in ("ID4", "ID5")]
     at_1 = [r.identity for r in run_suite("identities", 1, 64)]
     assert at_1 == [i for i in REGISTRY if i != "ID5"]
-
-
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in
-    this process, so no worker process starts."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_jobs_are_capped_at_one_worker_per_identity(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
-    serial = [r.to_json() for r in verify.check_all_identities(3)]
-    assert _FakePool.sizes == []
-    pooled = [r.to_json() for r in verify.check_all_identities(3, jobs=100000)]
-    assert _FakePool.sizes == [len(REGISTRY)]
-    assert pooled == serial
-    verify.check_all_identities(1, jobs=100000)
-    assert _FakePool.sizes == [len(REGISTRY), len(REGISTRY) - 1]
 
 
 # ---------------------------------------------------------------------------
