@@ -245,6 +245,16 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt, shown", [("table", "first-counterexample=(1, 1, 2, -4)"),
+                                        ("json", '"counterexamples": [[1, 1, 2, -4], ')])
+def test_verify_shows_counterexamples_and_writes_no_stderr(capsys, fmt, shown):
+    code = run(["verify", "--suite", "identities", "--max-e", "4", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert shown in captured.out
+    assert captured.err == ""
+
+
 def test_scan(capsys):
     code, out = invoke(capsys, ["scan", "--identity", "ID3", "--e", "4", "--format", "json"])
     assert code == 0

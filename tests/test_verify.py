@@ -874,6 +874,16 @@ def test_identities_below_their_e_min():
     assert at_1 == [i for i in REGISTRY if i != "ID5"]
 
 
+def test_check_all_identities_is_the_registry_sweep():
+    for e_max in (1, 3):
+        swept = [r.to_json() for r in verify.check_all_identities(e_max)]
+        one_by_one = [check_identity(i, e_max).to_json() for i, record in REGISTRY.items()
+                      if record.e_min <= e_max]
+        assert swept == one_by_one
+    assert [r.identity for r in verify.check_all_identities(1)] == [
+        i for i in REGISTRY if i != "ID5"]
+
+
 # ---------------------------------------------------------------------------
 # The dedicated checkers against their former point-by-point bodies.
 # ---------------------------------------------------------------------------
