@@ -9,7 +9,7 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from itertools import islice, repeat
+from itertools import cycle, islice, repeat
 from math import gcd
 from operator import add, index, mul, sub
 
@@ -27,11 +27,6 @@ from .series import (
     substitute_power,
     window_series,
 )
-
-
-def expand_rational(num: DensePolynomial, den: DensePolynomial, order: int) -> TruncatedSeries:
-    """num/den as a truncated series; den must open with +-1."""
-    return div_exact(num.to_series(order), den.to_series(order))
 
 
 class AffineSystem(Frozen):
@@ -163,7 +158,8 @@ def h_series(order: int) -> TruncatedSeries:
     shifted = window_series(Kind.STERN, 1, order + 3)
     # z*S' over the Stern series z*S
     direct = div_stern(derivative(shifted).shift(1))
-    inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), order)
+    # (1+2z)/(1+z+z^2) = (1+z-2z^2)/(1-z^3): 1, 1, -2 repeated
+    inhom = TruncatedSeries(tuple(islice(cycle((1, 1, -2)), order + 1)))
     system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])
     fixed = solve_affine_system(system, order)[0]
     if direct != fixed:
@@ -174,7 +170,8 @@ def h_series(order: int) -> TruncatedSeries:
 def c_series(order: int) -> TruncatedSeries:
     """Solution of C = z(1+2z)/(1-z^2) + C(z^2) with C(0) = 0; coefficient
     n >= 1 is 1 + 2*v2(n)."""
-    inhom = expand_rational(DensePolynomial((0, 1, 2)), DensePolynomial((1, 0, -1)), order)
+    # z(1+2z)/(1-z^2) = (z+2z^2)(1+z^2+z^4+...): 0, then 1, 2 repeated
+    inhom = TruncatedSeries((0, *islice(cycle((1, 2)), order)))
     system = AffineSystem.of(2, [inhom], [[(1,)]], [0])
     return solve_affine_system(system, order)[0]
 

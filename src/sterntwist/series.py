@@ -47,9 +47,9 @@ class InternalCheckError(RuntimeError):
 # division the term recurrence.  The Stern series needs no product:
 # `div_stern` divides by it through Carlitz's product form (each 1 - z^L by
 # `_over_one_minus`), and `mul_stern` multiplies by it through its Mahler
-# equation.  So no command reaches this kernel; it serves the library's
-# `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`, dense `div_exact` and
-# `p_product_logderiv`.
+# equation.  So no command reaches this kernel or `div_exact`; they serve the
+# library's `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`, `div_exact`,
+# `log_derivative` and `p_product_logderiv`.
 # ---------------------------------------------------------------------------
 
 #: Largest nonzero-term count of the sparser operand (or of a denominator's

@@ -373,7 +373,7 @@ def _bound_tables(e_max: int, n_limit: int = 0) -> None:
     """Refuse, before any table grows, an e_max or n_limit whose tables
     (9*2^e_max + 1 or n_limit + 1 entries) would pass MAX_TABLE;
     `verify --suite all` at both caps (e_max <= 17, n_limit < 2^21) peaks
-    at 157 MiB (its own getrusage peak, CPython 3.11.7)."""
+    at 159 MiB (its own getrusage peak, CPython 3.11.7)."""
     cap = f"(tables are capped at {MAX_TABLE} entries)"
     if e_max > MAX_TABLE.bit_length() or (9 << e_max) + 1 > MAX_TABLE:
         raise ValueError(f"e_max must be at most {((MAX_TABLE - 1) // 9).bit_length() - 1} {cap}")
@@ -691,11 +691,6 @@ def gen_quotient_series(order: int) -> TruncatedSeries:
     return quotient_series("u", order)
 
 
-def ab_quotient_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both doubling-conjecture quotients, (A, B)."""
-    return quotient_series("A", order), quotient_series("B", order)
-
-
 def _compare_sides(report: VerificationReport, e: int, sides) -> None:
     """Tally coefficients 0..order of each (lhs, rhs) pair of equal-order
     series in `sides`.  Equal coefficient tuples pass all at once; otherwise
@@ -715,10 +710,10 @@ def _doubled(r: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> VerificationReport:
-    """Evidence sweep of the window forms `names`, whose quotients
-    `quotients(order)` returns in that order: the leading coefficients of
-    each, then, for e <= e_max, W_e against (-1)^(e*alternating) Q(z^(2^e)) S
+def _conjecture(identity: str, names, e_max: int, order: int) -> VerificationReport:
+    """Evidence sweep of the window forms `names`, each with its quotient
+    `quotient_series(name, order)`: the leading coefficients of each, then,
+    for e <= e_max, W_e against (-1)^(e*alternating) Q(z^(2^e)) S
     coefficient-exactly to order - reach*2^e, with reach the largest offset
     a of the forms.  The right side R_0 = Q S is one `mul_stern`, which walks
     the Mahler equation of S, not the product form that divided, so it
@@ -739,7 +734,7 @@ def _conjecture(identity: str, names, quotients, e_max: int, order: int) -> Veri
         identity, params=f"e <= {e_max}, order {order}", conjecture=True
     )
     try:
-        qs = quotients(order)
+        qs = [quotient_series(name, order) for name in names]
     except DivisionError as exc:
         report.record_failure(("division", 0, str(exc), "integral quotient"))
         return report
@@ -761,12 +756,12 @@ def check_conjecture_gen(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep: one integral quotient u reproduces the twisted series
     over every window [3*2^e, ...] as (-1)^e u(z^(2^e)) times the Stern
     series, coefficient-exactly to order-3*2^e."""
-    return _conjecture("CONJ-GEN", ("u",), lambda n: (gen_quotient_series(n),), e_max, order)
+    return _conjecture("CONJ-GEN", ("u",), e_max, order)
 
 
 def check_conjecture_ab(e_max: int, order: int) -> VerificationReport:
     """Evidence sweep for the doubling-step quotients A and B over e <= e_max."""
-    return _conjecture("CONJ-AB", ("A", "B"), ab_quotient_series, e_max, order)
+    return _conjecture("CONJ-AB", ("A", "B"), e_max, order)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,10 @@ def _bfile(path, oeis_id):
 
 
 def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
-    # sparse factors multiply by slices and the Stern series is divided and
-    # multiplied through its product and Mahler forms, so no subcommand
-    # makes a Kronecker product or a Karp-Markstein division
+    # sparse factors multiply by slices, the Stern series is divided and
+    # multiplied through its product and Mahler forms, and H and C take
+    # periodic inhomogeneous terms, so no subcommand makes a Kronecker
+    # product or calls div_exact
     argvs = [["series", "--name", name, "--order", "300"] for name in
              ("stern", "twisted", "carlitz", "H", "C", "u", "A", "B", "binpart")]
     argvs += [["series", "--name", "psi", "--e", "10"]]
@@ -184,9 +185,10 @@ def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
     argvs += [["oeis-check", "--id", oeis_id, "--bfile", _bfile(tmp_path / oeis_id, oeis_id)]
               for oeis_id in ("A002487", "A163659", "A000123")]
     calls = []
-    for name in ("_mul_coeffs", "_quotient"):
-        real = getattr(series, name)
-        monkeypatch.setattr(series, name,
+    for module, name in [(series, "_mul_coeffs"), (series, "_quotient"),
+                         (series, "div_exact"), (regularity, "div_exact")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
     for argv in argvs:
         code, out = invoke(capsys, argv)

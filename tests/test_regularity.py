@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from sterntwist.regularity import (
     c_series,
     degree_reduce,
     exact_rank,
-    expand_rational,
     h_series,
     kernel_rank,
     p_product_logderiv,
@@ -35,9 +35,21 @@ from sterntwist.series import (
 )
 
 
-def test_expand_rational_prefix():
-    a = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), 8)
-    assert a.coeffs == (1, 1, -2, 1, 1, -2, 1, 1, -2)
+@pytest.mark.parametrize("build, num, den", [
+    (h_series, (1, 2), (1, 1, 1)),
+    (c_series, (0, 1, 2), (1, 0, -1)),
+])
+def test_periodic_terms_are_the_rational_expansions(monkeypatch, build, num, den):
+    # h_series and c_series state their inhomogeneous terms as periodic data;
+    # exact division is the independent reference, the only one C has
+    terms = []
+    solve = regularity.solve_affine_system
+    monkeypatch.setattr(regularity, "solve_affine_system",
+                        lambda system, order: terms.append(system.terms[0]) or solve(system, order))
+    for n in [*range(601), 8192, 1 << 18]:
+        build(n)
+        want = div_exact(DensePolynomial(num).to_series(n), DensePolynomial(den).to_series(n))
+        assert terms.pop().coeffs == want.coeffs, n
 
 
 def test_affine_consistency_enforced():
@@ -52,7 +64,7 @@ def test_affine_consistency_enforced():
 
 
 def test_solve_h_system():
-    inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), 64)
+    inhom = TruncatedSeries(tuple(islice(cycle((1, 1, -2)), 65)))  # (1+2z)/(1+z+z^2)
     system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])
     solution = solve_affine_system(system, 64)[0]
     assert solution.coeffs[:4] == (1, 3, -2, 7)
@@ -67,7 +79,8 @@ def test_solve_zero_system():
 
 
 def test_solution_is_fixed_point():
-    inhom = expand_rational(DensePolynomial((0, 1, 2)), DensePolynomial((1, 0, -1)), 128)
+    inhom = div_exact(DensePolynomial((0, 1, 2)).to_series(128),
+                      DensePolynomial((1, 0, -1)).to_series(128))
     system = AffineSystem.of(2, [inhom], [[(1,)]], [0])
     u = solve_affine_system(system, 128)[0]
     again = inhom.truncate(128) + substitute_power(u, 2, 128)
@@ -88,7 +101,7 @@ def test_degree_reduce_identity_when_reduced():
 
 
 def test_degree_reduce_preserves_solution():
-    inhom = expand_rational(DensePolynomial((1,)), DensePolynomial((1, -1)), 64)
+    inhom = div_exact(DensePolynomial((1,)).to_series(64), DensePolynomial((1, -1)).to_series(64))
     system = AffineSystem.of(2, [inhom], [[(0, 0, 0, 1)]], [1])
     baseline = solve_affine_system(system, 64)[0]
     reduced = degree_reduce(system)
@@ -105,7 +118,7 @@ def test_degree_reduce_preserves_solution():
 def test_degree_reduce_forms_of_the_degree_3_system():
     # acceptance criterion 9's system, every round pinned form by form: a
     # part from z^k on that is zero reads (), and trailing zeros go
-    inhom = expand_rational(DensePolynomial((1,)), DensePolynomial((1, -1)), 64)
+    inhom = div_exact(DensePolynomial((1,)).to_series(64), DensePolynomial((1, -1)).to_series(64))
     reduced = AffineSystem.of(2, [inhom], [[(0, 0, 0, 1)]], [1])
     rounds = []
     while reduced.max_form_degree() >= reduced.k:
@@ -195,7 +208,7 @@ def test_solver_takes_no_product_or_division(monkeypatch):
     # the fixed point is the check on H's division route: it must not
     # reach the product kernel or the division
     order = 1024
-    inhom = expand_rational(DensePolynomial((1, 2)), DensePolynomial((1, 1, 1)), order)
+    inhom = TruncatedSeries(tuple(islice(cycle((1, 1, -2)), order + 1)))  # (1+2z)/(1+z+z^2)
     system = AffineSystem.of(2, [inhom], [[(0, 2)]], [1])
 
     def refused(*args):

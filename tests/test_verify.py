@@ -516,8 +516,8 @@ def test_conjecture_gen_failures_walk_the_points(monkeypatch):
     # a wrong u fails every window; the counterexamples are those of a
     # point-by-point walk of twisted(3*2^e + n) against (-1)^e u(z^(2^e)) s
     order, e_max = 200, 3
-    bad = _perturbed(verify.gen_quotient_series(order), 20)
-    monkeypatch.setattr(verify, "gen_quotient_series", lambda o: bad)
+    bad = _perturbed(verify.quotient_series("u", order), 20)
+    monkeypatch.setattr(verify, "quotient_series", lambda name, o: bad)
     monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", 10 ** 6)  # keep every record
     report = check_conjecture_gen(e_max, order)
     s = TruncatedSeries.from_coeffs([stern(n) for n in range(order + 1)])
@@ -553,9 +553,9 @@ def test_conjecture_ab_failures_walk_the_points(monkeypatch):
     # s(2^(e+1) + n) - s(2^e + n) against A(z^(2^e)) s and B's
     # -(t(2^(e+1) + n) + t(2^e + n)) against (-1)^e B(z^(2^e)) s
     order, e_max = 200, 3
-    a, b = verify.ab_quotient_series(order)
-    bad_a, bad_b = _perturbed(a, 30), _perturbed(b, 17)
-    monkeypatch.setattr(verify, "ab_quotient_series", lambda o: (bad_a, bad_b))
+    bad_a = _perturbed(verify.quotient_series("A", order), 30)
+    bad_b = _perturbed(verify.quotient_series("B", order), 17)
+    monkeypatch.setattr(verify, "quotient_series", lambda name, o: {"A": bad_a, "B": bad_b}[name])
     monkeypatch.setattr(verify, "MAX_COUNTEREXAMPLES", 10 ** 6)  # keep every record
     report = check_conjecture_ab(e_max, order)
     s = TruncatedSeries.from_coeffs([stern(n) for n in range(order + 1)])
@@ -773,7 +773,7 @@ def test_range_builders_read_tables_and_match_point_lookups():
 def test_quotient_prefixes():
     u = verify.gen_quotient_series(16)
     assert u.coeffs[:13] == (1, 0, -2, 0, 0, -2, 4, 2, -6, 4, 2, -6, 8)
-    a, b = verify.ab_quotient_series(16)
+    a, b = verify.quotient_series("A", 16), verify.quotient_series("B", 16)
     assert a.coeffs[:7] == (1, -2, 2, 0, -4, 4, 2)
     assert b.coeffs[:8] == (1, -2, -2, 4, 0, 0, 6, -6)
 

@@ -141,7 +141,7 @@ def test_quotients_divide_the_point_lookup_windows(order):
     for name in POINTWISE:
         assert verify.quotient_series(name, order).coeffs == want[name].coeffs
     assert verify.gen_quotient_series(order).coeffs == want["u"].coeffs
-    a, b = verify.ab_quotient_series(order)
+    a, b = verify.quotient_series("A", order), verify.quotient_series("B", order)
     assert (a.coeffs, b.coeffs) == (want["A"].coeffs, want["B"].coeffs)
 
 
