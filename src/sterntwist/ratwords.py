@@ -119,48 +119,30 @@ def subsequence_transform(rep: LinearRepresentation) -> LinearRepresentation:
     return LinearRepresentation(rep.init, tuple(new_trans), rep.final)
 
 
-def representation_product(left: LinearRepresentation,
-                           right: LinearRepresentation) -> LinearRepresentation:
-    """Representation of the word-wise product: the value on w is the sum of
-    left(u) * right(v) over all splittings w = uv.
-
-    Block structure: a path spends a prefix in `left`'s states, then jumps
-    (paying left's final weight and right's entry weight) into `right`'s.
-    The product is weighted when either factor is.
-    """
-    if left.alphabet_size != right.alphabet_size:
-        raise ValueError("alphabet size mismatch between representations")
-    m, n = left.states, right.states
-    new_trans = []
-    for letter in range(left.alphabet_size):
-        tl = left.trans[letter]
-        tr = right.trans[letter]
-        jump = _row_times_matrix(right.init, tr, 0)
-        rows = []
-        for i in range(m):
-            rows.append(tuple(tl[i]) + tuple(left.final[i] * jump[j] for j in range(n)))
-        for i in range(n):
-            rows.append((0,) * m + tuple(tr[i]))
-        new_trans.append(tuple(rows))
-    eps_right = _dot(right.init, right.final, 0)
-    new_init = tuple(left.init) + (0,) * n
-    new_final = tuple(f * eps_right for f in left.final) + tuple(right.final)
-    return LinearRepresentation.of(new_init, new_trans, new_final)
-
-
-def all_words_representation(k: int) -> LinearRepresentation:
-    """One state, value 1 on every word over a k-letter alphabet."""
-    if k < 1:
-        raise ValueError("alphabet needs at least one letter")
-    return LinearRepresentation((1,), tuple(((1,),) for _ in range(k)), (1,))
-
-
 def subfactor_transform(rep: LinearRepresentation) -> LinearRepresentation:
     """Counter over contiguous factors: the value of a word becomes the sum
-    of rep's values over all factors, built as the three-phase
-    before/inside/after product with absorbing outer phases."""
-    everything = all_words_representation(rep.alphabet_size)
-    return representation_product(everything, representation_product(rep, everything))
+    of rep's values over all factors.  A path waits in a before state, runs
+    rep over one factor, and waits out the word in an after state; entering
+    rep pays its init alpha, leaving it its final beta.  In blocks, with M
+    the letter's matrix in rep, each letter matrix is
+
+        [[1, alpha*M, alpha.beta],
+         [0, M,       beta      ],
+         [0, 0,       1         ]]
+
+    and the vectors are (1, 0, ..., 0) and (alpha.beta, beta, 1), where
+    alpha.beta is rep's value on the empty factor."""
+    alpha, beta = rep.init, rep.final
+    zero = ZERO_W if rep.weighted else 0
+    empty = _dot(alpha, beta, zero)
+    pad = (0,) * (rep.states + 1)
+    trans = [
+        [(1, *_row_times_matrix(alpha, matrix, zero), empty),
+         *((0, *row, b) for row, b in zip(matrix, beta)),
+         pad + (1,)]
+        for matrix in rep.trans
+    ]
+    return LinearRepresentation.of((1,) + pad, trans, (empty, *beta, 1))
 
 
 def count_in_expansion(rep: LinearRepresentation, n: int, base: int = 2) -> object:

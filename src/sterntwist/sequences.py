@@ -4,14 +4,17 @@ companion, and the weighted subsequence-counting polynomials refining both.
 Everything here works on plain Python integers (arbitrary precision) or on
 integer-coefficient polynomials in the weight variable w; nothing rounds.
 Each headline quantity is computable by at least two independent routes so
-the routes can be played against each other in tests.
+the routes can be played against each other in tests.  The module also holds
+the package's one product of integer coefficient sequences, `_mul_coeffs`,
+which polynomials in w and in z and the series of `series` all take.
 """
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from enum import Enum
 from itertools import compress, repeat, zip_longest
-from operator import add, index, mul, neg, sub
+from operator import add, index, itemgetter, mul, neg, sub
 
 
 class Kind(Enum):
@@ -237,7 +240,23 @@ def enumerate_admissible(
 
 # ---------------------------------------------------------------------------
 # Integer polynomials, and weighted counting in the weight variable w.
+#
+# Every product of integer coefficient sequences is `_mul_coeffs`: products of
+# polynomials in w and in z (`IntPolynomial.__mul__`), of truncated series,
+# and those of the division kernel in `series`.  When the sparser operand has
+# at most SPARSE_TERMS nonzero coefficients, the product is `_times_sparse`,
+# one slice update per nonzero term.  Otherwise it goes through Kronecker
+# substitution: both operands are packed into one big number each, multiplied
+# once, and the product is read back slot by slot.  The slots are bytes of a
+# CPython int, which multiplies by Karatsuba, O(n^1.58).
 # ---------------------------------------------------------------------------
+
+#: Largest nonzero-term count of the sparser operand (or of a denominator's
+#: tail) that takes the sparse routes.  Against `_kron_mul` and a dense
+#: operand, `_times_sparse` breaks even at 16-32 terms at orders 1024-4096
+#: with 8-bit coefficients, at about 48 with 64-bit ones (CPython 3.11.7);
+#: sparse division stays ahead of the dense route well past that.
+SPARSE_TERMS = 32
 
 
 def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
@@ -255,6 +274,51 @@ def _times_sparse(cs, poly, step: int, n: int) -> list[int]:
             part = cs[:k] if c == 1 else map(mul, cs[:k], repeat(c))
             out[lo : lo + k] = map(add, out[lo : lo + k], part) if j else part
     return out
+
+
+def _kron_mul(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of a*b for integer sequences, by Kronecker
+    substitution.
+
+    Each slot holds a product coefficient plus half its range, so every slot
+    reads back as a nonnegative field without borrows.  The slot width covers
+    the largest possible coefficient: both operands' bit lengths, plus
+    log2 of the shorter length, plus a sign bit.
+    """
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    half_bytes = half.to_bytes(width, "little")
+
+    def pack(cs) -> int:
+        biased = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(biased, "little") - int.from_bytes(half_bytes * len(cs), "little")
+
+    total = width * (n + 1)
+    product = pack(a) * pack(b) + int.from_bytes(half_bytes * (n + 1), "little")
+    data = (product & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
+    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", data))
+    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+
+
+def _mul_coeffs(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of a*b: Kronecker over CPython ints when both
+    operands have more than SPARSE_TERMS nonzero coefficients, otherwise
+    one slice update per nonzero term of the sparser (`_times_sparse`)."""
+    a = a[: n + 1]
+    b = b[: n + 1]
+    na = len(a) - a.count(0)
+    nb = len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na > SPARSE_TERMS:
+        return _kron_mul(a, b, n)
+    return _times_sparse(b, a, 1, n)
 
 
 def _trimmed(c: tuple) -> tuple:
@@ -341,9 +405,7 @@ class IntPolynomial(Frozen):
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        return self._of_ints(tuple(_times_sparse(b, a, 1, len(a) + len(b) - 2)))
+        return self._of_ints(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
@@ -367,8 +429,7 @@ class IntPolynomial(Frozen):
 
 
 class WeightPolynomial(IntPolynomial):
-    """Integer polynomial in w; coeffs[k] is the coefficient of w^k.  Its
-    products take `_times_sparse`, the sparser operand as the factor."""
+    """Integer polynomial in w; coeffs[k] is the coefficient of w^k."""
 
     __slots__ = ()
     var = "w"

@@ -7,15 +7,16 @@ prefix, so a result can never silently claim more precision than it has.
 """
 from __future__ import annotations
 
-import struct
 from itertools import accumulate, repeat
-from operator import add, index, itemgetter, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 from .sequences import (
     MAX_TABLE,
+    SPARSE_TERMS,
     Frozen,
     IntPolynomial,
     Kind,
+    _mul_coeffs,
     _times_sparse,
     prefix,
     render_coeffs,
@@ -31,78 +32,22 @@ class InternalCheckError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient kernel.
+# Division kernel.
 #
-# Integer products go through Kronecker substitution: both operands are packed
-# into one big number each, multiplied once, and the product is read back slot
-# by slot.  The slots are bytes of a CPython int, which multiplies by
-# Karatsuba, O(n^1.58).  Division by a dense series with a +-1 lead to n+1
-# coefficients is recursive Karp-Markstein: the inverse to h = ceil((n+1)/2)
-# coefficients is the quotient of 1 by the denominator one level down, and the
-# upper half of the quotient comes from the remainder the lower half leaves.
-# Each level makes two dense products with a half-length operand, on the
-# precisions ceil((n+1)/2^i); the whole is O(M(n)).  When one operand (or the
-# denominator's tail) has at most SPARSE_TERMS nonzero coefficients, products
-# take `sequences._times_sparse`, every sparse factor's one slice product, and
-# division the term recurrence.  The Stern series needs no product:
-# `div_stern` divides by it through Carlitz's product form (each 1 - z^L by
-# `_over_one_minus`), and `mul_stern` multiplies by it through its Mahler
-# equation.  So no command reaches this kernel or `div_exact`; they serve the
-# library's `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`, `div_exact`,
-# `log_derivative` and `p_product_logderiv`.
+# Division by a dense series with a +-1 lead to n+1 coefficients is recursive
+# Karp-Markstein: the inverse to h = ceil((n+1)/2) coefficients is the quotient
+# of 1 by the denominator one level down, and the upper half of the quotient
+# comes from the remainder the lower half leaves.  Each level makes two dense
+# products (`sequences._mul_coeffs`) with a half-length operand, on the
+# precisions ceil((n+1)/2^i); the whole is O(M(n)).  When the denominator's
+# tail has at most SPARSE_TERMS nonzero coefficients, division takes the term
+# recurrence.  The Stern series needs no product: `div_stern` divides by it
+# through Carlitz's product form (each 1 - z^L by `_over_one_minus`), and
+# `mul_stern` multiplies by it through its Mahler equation.  So no command
+# reaches `sequences._kron_mul`, `_quotient` or `div_exact`; they serve the
+# library's `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`,
+# `div_exact`, `log_derivative` and `p_product_logderiv`.
 # ---------------------------------------------------------------------------
-
-#: Largest nonzero-term count of the sparser operand (or of a denominator's
-#: tail) that takes the sparse routes.  Against `_kron_mul` and a dense
-#: operand, `_times_sparse` breaks even at 16-32 terms at orders 1024-4096
-#: with 8-bit coefficients, at about 48 with 64-bit ones (CPython 3.11.7);
-#: sparse division stays ahead of the dense route well past that.
-SPARSE_TERMS = 32
-
-
-def _kron_mul(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b for integer sequences, by Kronecker
-    substitution.
-
-    Each slot holds a product coefficient plus half its range, so every slot
-    reads back as a nonnegative field without borrows.  The slot width covers
-    the largest possible coefficient: both operands' bit lengths, plus
-    log2 of the shorter length, plus a sign bit.
-    """
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    half_bytes = half.to_bytes(width, "little")
-
-    def pack(cs) -> int:
-        biased = b"".join((c + half).to_bytes(width, "little") for c in cs)
-        return int.from_bytes(biased, "little") - int.from_bytes(half_bytes * len(cs), "little")
-
-    total = width * (n + 1)
-    product = pack(a) * pack(b) + int.from_bytes(half_bytes * (n + 1), "little")
-    data = (product & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
-    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", data))
-    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
-
-
-def _mul_coeffs(a, b, n: int) -> list[int]:
-    """Coefficients 0..n of a*b: Kronecker over CPython ints when both
-    operands have more than SPARSE_TERMS nonzero coefficients, otherwise
-    one slice update per nonzero term of the sparser (`_times_sparse`)."""
-    a = a[: n + 1]
-    b = b[: n + 1]
-    na = len(a) - a.count(0)
-    nb = len(b) - b.count(0)
-    if na > nb:
-        a, b, na = b, a, nb
-    if na > SPARSE_TERMS:
-        return _kron_mul(a, b, n)
-    return _times_sparse(b, a, 1, n)
 
 
 def _quotient(m, d, n: int) -> list[int]:
@@ -414,19 +359,13 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
 
 
 class DensePolynomial(IntPolynomial):
-    """Dense integer polynomial in z; products go through the series kernel."""
+    """Dense integer polynomial in z."""
 
     __slots__ = ()
     var = "z"
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        return DensePolynomial._of_ints(tuple(_mul_coeffs(a, b, len(a) + len(b) - 2)))
-
-    __rmul__ = __mul__
+    # Bound in this class too: perfbench/tracer.py wraps the methods found
+    # in a class's own __dict__.
+    __mul__ = __rmul__ = IntPolynomial.__mul__
 
     def to_series(self, order: int) -> TruncatedSeries:
         return TruncatedSeries(_padded(self.coeffs, order))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import sterntwist
 import sterntwist.cli as cli
 import sterntwist.regularity as regularity
+import sterntwist.sequences as sequences
 import sterntwist.series as series
 import sterntwist.verify as verify
 from sterntwist.cli import MAX_ORDER, BFileFormatError, parse_bfile, run
@@ -170,7 +171,8 @@ def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
     # sparse factors multiply by slices, the Stern series is divided and
     # multiplied through its product and Mahler forms, and H and C take
     # periodic inhomogeneous terms, so no subcommand makes a Kronecker
-    # product or calls div_exact
+    # product or calls div_exact; the w-products of `count --weighted` take
+    # the sparse branch of the one product
     argvs = [["series", "--name", name, "--order", "300"] for name in
              ("stern", "twisted", "carlitz", "H", "C", "u", "A", "B", "binpart")]
     argvs += [["series", "--name", "psi", "--e", "10"]]
@@ -185,7 +187,7 @@ def test_no_command_reaches_the_product_kernel(capsys, monkeypatch, tmp_path):
     argvs += [["oeis-check", "--id", oeis_id, "--bfile", _bfile(tmp_path / oeis_id, oeis_id)]
               for oeis_id in ("A002487", "A163659", "A000123")]
     calls = []
-    for module, name in [(series, "_mul_coeffs"), (series, "_quotient"),
+    for module, name in [(sequences, "_kron_mul"), (series, "_quotient"),
                          (series, "div_exact"), (regularity, "div_exact")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name,

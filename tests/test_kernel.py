@@ -18,9 +18,8 @@ import sterntwist.sequences as sequences
 import sterntwist.series as series
 import sterntwist.verify as verify
 from sterntwist.regularity import AffineSystem, solve_affine_system
-from sterntwist.sequences import Kind, prefix, stern
+from sterntwist.sequences import SPARSE_TERMS, Kind, WeightPolynomial, prefix, stern
 from sterntwist.series import (
-    SPARSE_TERMS,
     DensePolynomial,
     DivisionError,
     TruncatedSeries,
@@ -80,13 +79,13 @@ def with_terms(terms, length, bits, lead=1, start=0):
 
 def count_calls(monkeypatch, name):
     calls = []
-    route = getattr(series, name)
+    route = getattr(sequences, name)
 
     def counted(a, b, n):
         calls.append(n)
         return route(a, b, n)
 
-    monkeypatch.setattr(series, name, counted)
+    monkeypatch.setattr(sequences, name, counted)
     return calls
 
 
@@ -118,7 +117,7 @@ def test_sparse_schoolbook_matches_the_double_loop(a, b, n):
     # product's slots, whose top slots must read 0
     assert sequences._times_sparse(a, b, 1, n) == schoolbook_mul(a, b, n)
     assert sequences._times_sparse(b, a, 1, n) == schoolbook_mul(b, a, n)
-    assert series._kron_mul(a, b, n) == schoolbook_mul(a, b, n)
+    assert sequences._kron_mul(a, b, n) == schoolbook_mul(a, b, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +154,11 @@ def test_mul_at_the_sparse_cutoff(monkeypatch, terms, bits):
         got = TruncatedSeries.from_coeffs(x) * TruncatedSeries.from_coeffs(y)
         assert list(got.coeffs) == schoolbook_mul(x, y, 249)
         poly = DensePolynomial(tuple(x)) * DensePolynomial(tuple(y))
+        assert poly.coeffs == trim(schoolbook_mul(x, y, 548))
+        assert bool(calls) == (terms > SPARSE_TERMS)
+        calls.clear()
+        # w-products take the same route
+        poly = WeightPolynomial(tuple(x)) * WeightPolynomial(tuple(y))
         assert poly.coeffs == trim(schoolbook_mul(x, y, 548))
         assert bool(calls) == (terms > SPARSE_TERMS)
 
@@ -409,13 +413,13 @@ def test_dense_division_makes_the_newton_routes_products(monkeypatch, length, le
     n = length - 1
     m, d = dense_operands(length, 5 * length + lead, lead=lead, bits=20)
     calls = []
-    route = series._kron_mul
+    route = sequences._kron_mul
 
     def recorded(a, b, n):
         calls.append((tuple(a), tuple(b), n))
         return route(a, b, n)
 
-    monkeypatch.setattr(series, "_kron_mul", recorded)
+    monkeypatch.setattr(sequences, "_kron_mul", recorded)
     got = div_exact(TruncatedSeries.from_coeffs(m), TruncatedSeries.from_coeffs(d))
     new_calls = calls[:]
     calls.clear()

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from sterntwist.ratwords import (
     LinearRepresentation,
     admissible_representation,
-    all_words_representation,
     count_in_expansion,
     digits_of,
-    representation_product,
     subfactor_transform,
     subsequence_transform,
     word_indicator,
@@ -19,6 +17,9 @@ from sterntwist.sequences import W, WeightPolynomial, stern, weighted_stern
 from sterntwist.series import infinite_product, DensePolynomial
 
 short_words = st.lists(st.integers(min_value=0, max_value=1), max_size=10).map(tuple)
+
+#: One state, value 1 on every binary word.
+EVERYTHING = LinearRepresentation((1,), (((1,),), ((1,),)), (1,))
 
 
 def brute_subsequence_sum(rep, word):
@@ -52,8 +53,7 @@ def test_admissible_recogniser():
 def test_evaluate_empty_word_is_init_dot_final():
     rep = word_indicator((1, 0), 2)
     assert rep.evaluate(()) == 0
-    everything = all_words_representation(2)
-    assert everything.evaluate(()) == 1
+    assert EVERYTHING.evaluate(()) == 1
 
 
 def test_digit_range_checked():
@@ -132,8 +132,8 @@ def test_subfactor_transform_matches_brute_force(word):
 
 def test_subfactor_counts_empty_decompositions():
     # a representation with an empty-word term gets one hit per gap position
-    everything = all_words_representation(2)
-    counter = subfactor_transform(everything)
+    counter = subfactor_transform(EVERYTHING)
+    assert counter.states == EVERYTHING.states + 2
     for length in range(5):
         word = (1,) * length
         # factors of a length-L word: one per (start, end) pair
@@ -141,14 +141,40 @@ def test_subfactor_counts_empty_decompositions():
         assert counter.evaluate(word) == expected
 
 
-def test_representation_product_dimensions():
-    rep = word_indicator((1, 1), 2)
-    prod = representation_product(rep, all_words_representation(2))
-    assert prod.states == rep.states + 1
-    both = subfactor_transform(rep)
-    assert both.states == rep.states + 2
-    with pytest.raises(ValueError):
-        representation_product(rep, all_words_representation(3))
+def test_subfactor_transform_of_the_pair_indicator():
+    # before state, the three states of the indicator of 11, after state:
+    # entering pays init (1, 0, 0), so the before row reads init times the
+    # letter's matrix, and 11 has no empty factor, so alpha.beta = 0
+    counter = subfactor_transform(word_indicator((1, 1), 2))
+    assert counter.init == (1, 0, 0, 0, 0)
+    assert counter.trans == (
+        ((1, 0, 0, 0, 0),
+         (0, 0, 0, 0, 0),
+         (0, 0, 0, 0, 0),
+         (0, 0, 0, 0, 1),
+         (0, 0, 0, 0, 1)),
+        ((1, 0, 1, 0, 0),
+         (0, 0, 1, 0, 0),
+         (0, 0, 0, 1, 0),
+         (0, 0, 0, 0, 1),
+         (0, 0, 0, 0, 1)),
+    )
+    assert counter.final == (0, 0, 0, 1, 1)
+    entries = (*counter.init, *counter.final, *(x for m in counter.trans for r in m for x in r))
+    assert all(type(x) is int for x in entries)
+
+
+def test_subfactor_transform_with_a_weighted_empty_word():
+    # rep's value on the empty word is w*(1 + w), so every one of the
+    # L + 1 empty factors of a length-L word adds it
+    rep = LinearRepresentation.of((W,), (((1,),), ((W,),)), (1 + W,))
+    assert rep.evaluate(()) == W + W * W
+    counter = subfactor_transform(rep)
+    assert counter.weighted
+    for length in range(7):
+        for n in range(1 << length):
+            word = tuple((n >> i) & 1 for i in range(length))
+            assert counter.evaluate(word) == brute_factor_sum(rep, word), word
 
 
 def test_digits_of():

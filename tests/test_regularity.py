@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sterntwist.regularity as regularity
+import sterntwist.sequences as sequences
 import sterntwist.series as series
 from sterntwist.regularity import (
     AffineSystem,
@@ -214,7 +215,8 @@ def test_solver_takes_no_product_or_division(monkeypatch):
     def refused(*args):
         raise AssertionError("the fixed-point route reached the product kernel or a division")
 
-    for module, name in [(series, "_mul_coeffs"), (series, "div_exact"), (regularity, "div_exact"),
+    for module, name in [(sequences, "_mul_coeffs"), (series, "_mul_coeffs"),
+                         (series, "div_exact"), (regularity, "div_exact"),
                          (series, "div_stern"), (regularity, "div_stern")]:
         monkeypatch.setattr(module, name, refused)
     assert solve_affine_system(system, order)[0].coeffs[:4] == (1, 3, -2, 7)

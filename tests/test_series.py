@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sterntwist.sequences as sequences
 import sterntwist.series as series
 from sterntwist.ratwords import LinearRepresentation
 from sterntwist.regularity import AffineSystem, exact_rank
@@ -317,10 +318,11 @@ def test_carlitz_series_is_the_stern_series():
         assert carlitz_series(order).coeffs == stern_series(order).coeffs, order
 
 
-def _spy(monkeypatch, name):
+def _spy(monkeypatch, name, modules=(series,)):
     calls = []
-    real = getattr(series, name)
-    monkeypatch.setattr(series, name, lambda *args: calls.append(args) or real(*args))
+    for module in modules:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
     return calls
 
 
@@ -328,7 +330,8 @@ def test_sparse_routes_stay_off_the_product_kernel(monkeypatch):
     # both factored routes to psi and Carlitz's product multiply by slices
     # and never by the product kernel; the table window takes neither, so a
     # fault in the slices still shows as a disagreement with the window
-    kernel, slices = _spy(monkeypatch, "_mul_coeffs"), _spy(monkeypatch, "_times_sparse")
+    kernel = _spy(monkeypatch, "_mul_coeffs", (sequences, series))
+    slices = _spy(monkeypatch, "_times_sparse")
     for build in (psi_factored_plain, psi_factored_signed, carlitz_series,
                   lambda n: infinite_product(DensePolynomial((1, 2, 0, 3, 1)), 3, n)):
         slices.clear()
