@@ -10,28 +10,28 @@ from __future__ import annotations
 
 from operator import index
 
-from .sequences import W, ZERO_W, Frozen, WeightPolynomial, digits_of
+from .sequences import ONE_W, W, ZERO_W, Frozen, WeightPolynomial, digits_of
 
 
-def _row_times_matrix(row, matrix, zero):
-    cols = len(matrix[0])
-    out = []
-    for j in range(cols):
-        acc = zero
-        for i, ri in enumerate(row):
-            if ri:
-                mij = matrix[i][j]
-                if mij:
-                    acc = acc + ri * mij
-        out.append(acc)
+def _row_times_matrix(row, matrix, zero, one):
+    """row . matrix, a matrix row at a time, so a zero entry of `row` skips
+    its matrix row.  An entry that is `one` (1, or the w-polynomial 1) in
+    value and type adds its row entry without the product, which would
+    give the same value and type; the check builds no polynomial."""
+    out = [zero] * len(matrix[0])
+    for a, matrix_row in zip(row, matrix):
+        if a:
+            for j, b in enumerate(matrix_row):
+                if b:
+                    out[j] = out[j] + (a if type(b) is type(one) and b == one else a * b)
     return out
 
 
-def _dot(row, col, zero):
+def _dot(row, col, zero, one):
     acc = zero
     for a, b in zip(row, col):
         if a and b:
-            acc = acc + a * b
+            acc = acc + (a if type(b) is type(one) and b == one else a * b)
     return acc
 
 
@@ -89,15 +89,15 @@ class LinearRepresentation(Frozen):
 
     def evaluate(self, word) -> object:
         """Value on an explicit digit word (most significant first)."""
-        zero = ZERO_W if self.weighted else 0
+        zero, one = (ZERO_W, ONE_W) if self.weighted else (0, 1)
         row = self.init
         for digit in word:
             if not 0 <= digit < self.alphabet_size:
                 raise ValueError(
                     f"digit {digit} is outside the alphabet of size {self.alphabet_size}"
                 )
-            row = _row_times_matrix(row, self.trans[digit], zero)
-        return _dot(row, self.final, zero)
+            row = _row_times_matrix(row, self.trans[digit], zero, one)
+        return _dot(row, self.final, zero, one)
 
 
 def subsequence_transform(rep: LinearRepresentation) -> LinearRepresentation:
@@ -133,11 +133,11 @@ def subfactor_transform(rep: LinearRepresentation) -> LinearRepresentation:
     and the vectors are (1, 0, ..., 0) and (alpha.beta, beta, 1), where
     alpha.beta is rep's value on the empty factor."""
     alpha, beta = rep.init, rep.final
-    zero = ZERO_W if rep.weighted else 0
-    empty = _dot(alpha, beta, zero)
+    zero, one = (ZERO_W, ONE_W) if rep.weighted else (0, 1)
+    empty = _dot(alpha, beta, zero, one)
     pad = (0,) * (rep.states + 1)
     trans = [
-        [(1, *_row_times_matrix(alpha, matrix, zero), empty),
+        [(1, *_row_times_matrix(alpha, matrix, zero, one), empty),
          *((0, *row, b) for row, b in zip(matrix, beta)),
          pad + (1,)]
         for matrix in rep.trans

@@ -9,11 +9,11 @@ ranks and is deliberately absent.
 from __future__ import annotations
 
 import json
-from itertools import cycle, islice, repeat
+from itertools import compress, cycle, islice, repeat
 from math import gcd
 from operator import add, index, mul, sub
 
-from .sequences import Frozen, Kind, _times_sparse, _trimmed
+from .sequences import Frozen, Kind, _trimmed
 from .series import (
     DensePolynomial,
     InternalCheckError,
@@ -85,42 +85,51 @@ class AffineSystem(Frozen):
         return deg
 
 
-def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSeries]:
-    """Unique solution, truncated at `order`, by fixed-point iteration from
-    the pinned constants.
+def _round_block(system: AffineSystem, vec: list, lo: int, hi: int) -> list[list[int]]:
+    """Coefficients lo..hi of one fixed-point round on the lists `vec`, one
+    per unknown: a term c*z^m of form (i, j) adds c*u_j[q] at n = m + k*q,
+    one strided slice, so the block reads u_j only up to (hi - m) // k."""
+    k = system.k
+    out = []
+    for a, row in zip(system.terms, system.forms):
+        acc = list(a.coeffs[lo : hi + 1])
+        for poly, u in zip(row, vec):
+            for m, c in compress(enumerate(poly), poly):
+                if m > hi:
+                    break
+                q = max(0, (lo - m + k - 1) // k)  # the first q with m + k*q >= lo
+                part = u[q : (hi - m) // k + 1]
+                start = m + k * q - lo
+                cut = slice(start, start + k * len(part), k)
+                acc[cut] = map(add, acc[cut], part if c == 1 else map(mul, part, repeat(c)))
+        out.append(acc)
+    return out
 
-    Coefficient n of a round reads coefficients up to n/k of the last one,
-    so a round on a prefix settled through p settles it through k(p+1)-1
-    (substitute_power refuses more).  The rounds run on those prefixes up
-    to `order`; one extra round at full order must be a no-op, otherwise
-    something is deeply wrong.  Each form entry is one `_times_sparse`.
+
+def solve_affine_system(system: AffineSystem, order: int) -> list[TruncatedSeries]:
+    """Unique solution, truncated at `order`, from the pinned constants.
+
+    Coefficient n of a round reads coefficients up to n/k, so each block
+    [k^i, k^(i+1) - 1] is settled once, from the ones before it, up to
+    `order`.  One check round over [0, order] must then give back the
+    settled coefficients, otherwise something is deeply wrong.  No step
+    multiplies series or divides.
     """
     if order < 0:
         raise ValueError("order must be a natural number")
     for a in system.terms:
         if a.order < order:
             raise ValueError("inhomogeneous terms carry insufficient order")
-    k = system.k
-
-    def step(vec: list[TruncatedSeries], n: int) -> list[TruncatedSeries]:
-        subs = [substitute_power(u, k, n).coeffs for u in vec]
-        out = []
-        for a, row in zip(system.terms, system.forms):
-            acc = a.coeffs[: n + 1]
-            for poly, u in zip(row, subs):
-                acc = map(add, acc, _times_sparse(u, poly, 1, n))
-            out.append(TruncatedSeries(tuple(acc)))
-        return out
-
-    current = [TruncatedSeries.constant(c, 0) for c in system.constants]
-    settled = 0
-    while settled < order:
-        settled = min(k * (settled + 1) - 1, order)
-        current = step(current, settled)
-    final = step(current, order)
-    if any(f.coeffs != c.coeffs for f, c in zip(final, current)):
+    settled = [[c] for c in system.constants]
+    lo = 1
+    while lo <= order:
+        hi = min(system.k * lo - 1, order)
+        for u, block in zip(settled, _round_block(system, settled, lo, hi)):
+            u += block
+        lo = hi + 1
+    if _round_block(system, settled, 0, order) != settled:
         raise InternalCheckError("fixed-point iteration failed to stabilise")
-    return final
+    return [TruncatedSeries(tuple(u)) for u in settled]
 
 
 def degree_reduce(system: AffineSystem) -> AffineSystem:
@@ -228,8 +237,13 @@ def _reduce(row, basis: list) -> None:
             row = list(map(sub, map(mul, row, repeat(b[p])), map(mul, b, repeat(c))))
     lead = next(filter(None, row), 0)
     if lead:
-        g = gcd(*row)
-        basis.append((row.index(lead), row if g == 1 else [x // g for x in row]))
+        basis.append((row.index(lead), _primitive(row)))
+
+
+def _primitive(row):
+    """`row` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
 
 
 def exact_rank(rows) -> int:
@@ -277,24 +291,6 @@ class KernelProbeReport(Frozen):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _echelon_ranks(values: tuple, k: int, length: int, depth: int) -> list[int]:
-    """Ranks of the sections of depths 0..`depth`, each cut to `length`
-    terms, read after each depth from one growing echelon.  A row seen
-    before is skipped, and a basis of `length` rows is full."""
-    basis, seen, ranks = [], set(), []
-    for j in range(depth + 1):
-        step = k**j
-        for r in range(step):
-            if len(basis) == length:
-                break
-            row = values[r : r + length * step : step]
-            if row not in seen:
-                seen.add(row)
-                _reduce(row, basis)
-        ranks.append(len(basis))
-    return ranks
-
-
 def check_kernel_probe(k: int, depth: int, order: int) -> None:
     """Refuse, with ValueError, a probe that `kernel_rank` cannot run: a
     base below 2, a negative depth, an order below 2 (the half-order probe
@@ -323,24 +319,34 @@ def kernel_rank(target: str, values, k: int, depth: int, order: int) -> KernelPr
     taken over all sections of depth <= d, each cut to the common prefix
     length floor(order / k^d).  Bounded, stabilising ranks are evidence of
     k-regularity; steady growth is evidence against it.  The probe is re-run
-    at half the order; both runs read their ranks from one echelon per
-    distinct prefix length.
+    at half the order.  Both read their ranks from one echelon, cut to
+    floor(order / k^d) columns before depth d: cutting commutes with
+    elimination over Q, the rows whose pivot is past the cut drop out, and
+    the rest stay independent (made primitive again).  The half-order rank
+    at depth d is the number of pivots below floor(order / 2 / k^d).
     """
     check_kernel_probe(k, depth, order)
     values = tuple(map(index, islice(values, order)))
     if len(values) < order:
         raise ValueError(f"need at least {order} coefficient values")
     half = order // 2
-    half_depth = depth
-    while k**half_depth > half:
-        half_depth -= 1
-    probes = ((order, depth), (half, half_depth))
-    deepest: dict[int, int] = {}
-    for n, top in probes:
-        for d in range(top + 1):
-            deepest[n // k**d] = max(deepest.get(n // k**d, 0), d)
-    passes = {length: _echelon_ranks(values, k, length, d) for length, d in deepest.items()}
-    ranks, ranks_half = ([passes[n // k**d][d] for d in range(top + 1)] for n, top in probes)
+    basis, ranks, ranks_half = [], [], []
+    for d in range(depth + 1):
+        step = k**d
+        length = order // step
+        basis = [(p, _primitive(row[:length])) for p, row in basis if p < length]
+        seen = set()
+        for r in range(step):
+            if len(basis) == length:
+                break
+            row = values[r : r + length * step : step]
+            if row not in seen:
+                seen.add(row)
+                _reduce(row, basis)
+        ranks.append(len(basis))
+        cut = half // step
+        if cut:
+            ranks_half.append(sum(p < cut for p, _ in basis))
     # a decrease can only come from prefixes shorter than the span they
     # should exhibit: the window is too small to say anything at this depth
     for seq in (ranks, ranks_half):

@@ -378,10 +378,7 @@ class IntPolynomial(Frozen):
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._of_ints(tuple(out))
+        return self._of_ints((*map(add, a, b), *a[len(b):]))
 
     __radd__ = __add__
 

@@ -108,10 +108,6 @@ class TruncatedSeries(Frozen):
     def one(cls, order: int):
         return cls.from_coeffs((1,), order)
 
-    @classmethod
-    def constant(cls, value, order: int):
-        return cls.from_coeffs((value,), order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

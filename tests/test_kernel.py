@@ -197,10 +197,10 @@ def test_zero_and_order_zero_operands():
     assert (zero * dense).coeffs == (0,) * 201
     assert div_exact(zero, dense).coeffs == (0,) * 201
     assert DensePolynomial((0,)) * DensePolynomial(dense.coeffs) == DensePolynomial((0,))
-    c = TruncatedSeries.constant(-3, 0)
+    c = TruncatedSeries((-3,))
     assert (c * dense).coeffs == (-3,)
-    assert div_exact(c, TruncatedSeries.constant(-1, 0)).coeffs == (3,)
-    assert div_exact(dense, TruncatedSeries.constant(1, 0)).coeffs == (1,)
+    assert div_exact(c, TruncatedSeries((-1,))).coeffs == (3,)
+    assert div_exact(dense, TruncatedSeries((1,))).coeffs == (1,)
 
 
 def test_dense_division_checks_still_apply():

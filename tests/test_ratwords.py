@@ -13,7 +13,7 @@ from sterntwist.ratwords import (
     subsequence_transform,
     word_indicator,
 )
-from sterntwist.sequences import W, WeightPolynomial, stern, weighted_stern
+from sterntwist.sequences import ONE_W, W, WeightPolynomial, stern, weighted_stern
 from sterntwist.series import infinite_product, DensePolynomial
 
 short_words = st.lists(st.integers(min_value=0, max_value=1), max_size=10).map(tuple)
@@ -98,6 +98,36 @@ def test_automaton_route_matches_weighted_polynomials():
     weighted = subsequence_transform(admissible_representation())
     for n in range(1 << 9):
         assert count_in_expansion(weighted, n, 2) == weighted_stern(n)
+
+
+def test_a_weighted_count_multiplies_by_no_unit(monkeypatch):
+    # the identity that subsequence_transform adds puts 1 on the diagonal;
+    # an entry equal to 1 adds its row entry, it is not multiplied by it
+    weighted = subsequence_transform(admissible_representation())
+    n = 3**2000
+    products = []
+    mul = WeightPolynomial.__mul__
+
+    def spy(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(WeightPolynomial, "__mul__", spy)
+    got = count_in_expansion(weighted, n, 2)
+    monkeypatch.undo()
+    assert products
+    assert not [pair for pair in products if 1 in pair]
+    assert got == weighted_stern(n)
+
+
+def test_a_skipped_unit_keeps_the_product_type():
+    # a raw representation may mix ints and w-polynomials: 1 times the
+    # w-polynomial 1 is a w-polynomial, so skipping that product must not
+    # hand back the int
+    rep = LinearRepresentation((1,), (((ONE_W,),),), (1,))
+    assert type(rep.evaluate(())) is int
+    assert type(rep.evaluate((0,))) is WeightPolynomial
+    assert rep.evaluate((0, 0)) == ONE_W
 
 
 def test_thue_morse_sign():

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import cycle, islice
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,23 +183,25 @@ def affine_systems(draw):
 @example((AffineSystem.of(2, [TruncatedSeries.one(0)], [[(0, 2)]], [1]), 0))
 def test_prefix_rounds_match_the_full_order_iteration(case):
     system, order = case
-    computed = []
-    substitute = regularity.substitute_power
+    blocks = []
+    round_block = regularity._round_block
 
-    def counted(u, k, n):
-        # called once per unknown per round, with the round's order n
-        computed.append(n + 1)
-        return substitute(u, k, n)
+    def counted(system, vec, lo, hi):
+        blocks.append((lo, hi))
+        return round_block(system, vec, lo, hi)
 
     want = _solve_at_full_order(system, order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "substitute_power", counted)
+        mp.setattr(regularity, "_round_block", counted)
         got = solve_affine_system(system, order)
     assert [list(u.coeffs) for u in got] == want
-    # the rounds grow k-fold up to order, then one check round at order
-    assert sum(computed) <= 4 * (order + 1) * system.d
-    assert computed[-system.d:] == [order + 1] * system.d
-    assert len(computed) == system.d or computed[-2 * system.d:] == [order + 1] * 2 * system.d
+    # each block [k^i, k^(i+1) - 1] up to order is settled once, then one
+    # check round covers [0, order]
+    k, settling, lo = system.k, [], 1
+    while lo <= order:
+        settling.append((lo, min(k * lo - 1, order)))
+        lo *= k
+    assert blocks == settling + [(0, order)]
     reduced = system
     while reduced.max_form_degree() >= reduced.k:
         reduced = degree_reduce(reduced)
@@ -216,10 +219,31 @@ def test_solver_takes_no_product_or_division(monkeypatch):
         raise AssertionError("the fixed-point route reached the product kernel or a division")
 
     for module, name in [(sequences, "_mul_coeffs"), (series, "_mul_coeffs"),
+                         (sequences, "_times_sparse"), (series, "_times_sparse"),
+                         (series, "substitute_power"), (regularity, "substitute_power"),
                          (series, "div_exact"), (regularity, "div_exact"),
                          (series, "div_stern"), (regularity, "div_stern")]:
         monkeypatch.setattr(module, name, refused)
     assert solve_affine_system(system, order)[0].coeffs[:4] == (1, 3, -2, 7)
+
+
+@pytest.mark.parametrize("where", [0, 0.5, 1])
+@pytest.mark.parametrize("k, order", [(2, 1), (2, 300), (3, 300)])
+def test_a_perturbed_settling_block_fails_to_stabilise(monkeypatch, k, order, where):
+    # the check round over [0, order] recomputes what the blocks settled
+    ones = TruncatedSeries.from_coeffs([1] * (order + 1))
+    system = AffineSystem.of(k, [ones, ones], [[(0, 2), (1, -1)], [(0,), (0, 0, 3)]], [2, 1])
+    round_block = regularity._round_block
+
+    def perturbed(system, vec, lo, hi):
+        out = round_block(system, vec, lo, hi)
+        if lo > 0:
+            out[1][int(where * (hi - lo))] += 1
+        return out
+
+    monkeypatch.setattr(regularity, "_round_block", perturbed)
+    with pytest.raises(InternalCheckError, match="failed to stabilise"):
+        solve_affine_system(system, order)
 
 
 def _perturbed(a, where):
@@ -538,6 +562,48 @@ def test_kernel_rank_matches_the_two_pass_probe(target):
                 except ValueError as exc:
                     got = str(exc)
                 assert got == _two_pass_probe(target, k, depth, order), (k, depth, order)
+
+
+@pytest.mark.parametrize("target, build, k, depth", [
+    ("stern", stern_series, 2, 6),
+    ("H", h_series, 2, 6),
+    ("binpart", binary_partition_series, 2, 6),
+    ("stern", stern_series, 3, 3),  # half-order lengths are not next depth's
+])
+def test_each_distinct_section_is_reduced_once_per_depth(monkeypatch, target, build, k, depth):
+    # one echelon for both probes: depth d reduces only its own distinct
+    # sections, cut to order // k^d, until the basis is full
+    order = 1024
+    values = build(order - 1).coeffs
+    reduced = []
+    reduce = regularity._reduce
+    monkeypatch.setattr(regularity, "_reduce",
+                        lambda row, basis: reduced.append(tuple(row)) or reduce(row, basis))
+    report = kernel_rank(target, values, k, depth, order)
+    lengths = [order // k**d for d in range(depth + 1)]
+    assert sorted(map(len, reduced), reverse=True) == list(map(len, reduced))
+    assert set(map(len, reduced)) <= set(lengths)
+    for d, length in enumerate(lengths):
+        step = k**d
+        sections = list(dict.fromkeys(values[r : r + length * step : step] for r in range(step)))
+        got = [row for row in reduced if len(row) == length]
+        if report.ranks[d] < length:
+            assert got == sections, d
+        else:
+            assert got == sections[: len(got)], d
+
+
+def test_cut_basis_rows_are_primitive(monkeypatch):
+    # the depth-0 row (2, 4, ..., 14, 3) is primitive, but its cut to 4
+    # columns is 2*(1, 2, 3, 4): it must enter depth 1 without the factor 2,
+    # which would otherwise multiply every later reduction against it
+    bases = []
+    reduce = regularity._reduce
+    monkeypatch.setattr(regularity, "_reduce",
+                        lambda row, basis: bases.append(list(basis)) or reduce(row, basis))
+    kernel_rank("t", (2, 4, 6, 8, 10, 12, 14, 3), 2, 1, 8)
+    assert bases[1] == [(0, [1, 2, 3, 4])]
+    assert all(gcd(*row) == 1 for basis in bases for _, row in basis)
 
 
 def test_kernel_report_monotonicity_guard():

@@ -41,7 +41,7 @@ def _corrupt(monkeypatch, name, modules, returns):
 
 @pytest.fixture
 def faulty_product(monkeypatch):
-    _corrupt(monkeypatch, "_times_sparse", (sequences, series, regularity), returns=True)
+    _corrupt(monkeypatch, "_times_sparse", (sequences, series), returns=True)
 
 
 @pytest.fixture
@@ -51,12 +51,10 @@ def faulty_division(monkeypatch):
 
 @pytest.mark.usefixtures("faulty_product")
 def test_a_wrong_slice_product_makes_every_cross_check_fail():
-    # psi's table window, H's division route and the product's log
-    # derivative take no slice product; the other side of each check does
+    # psi's table window and the product's log derivative take no slice
+    # product; the other side of each check does
     with pytest.raises(InternalCheckError):
         psi(4)
-    with pytest.raises(InternalCheckError):
-        h_series(64)
     with pytest.raises(InternalCheckError):
         p_product_logderiv(DensePolynomial((1, 1, 1)), 2, 128)
     # the digit fold adds and never multiplies; the mod-4 recursion and the
