@@ -16,7 +16,7 @@ _EXPORTS = {
         ("sequences", "WeightPolynomial count_admissible enumerate_admissible mod2 stern "
                       "twisted v2 weighted_count_direct weighted_even weighted_stern "
                       "weighted_stern_alt"),
-        ("series", "DensePolynomial TruncatedSeries carlitz_series div_exact "
+        ("series", "TruncatedSeries carlitz_series div_exact "
                    "infinite_product log_derivative psi section stern_series "
                    "substitute_power twisted_series twisted_series_expansion"),
         ("regularity", "AffineSystem KernelProbeReport binary_partition_series c_series "

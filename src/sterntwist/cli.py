@@ -216,8 +216,7 @@ def _cmd_series(args) -> int:
             raise ValueError("--order does not apply to psi, whose --e sets its degree")
         if args.e is None:
             raise ValueError("series psi needs --e")
-        poly = series.psi(args.e)
-        result = poly.to_series(poly.degree)
+        result = series.psi(args.e)
     elif args.e is not None:
         raise ValueError(f"--e applies only to psi, not to {args.name}")
     else:

@@ -15,10 +15,10 @@ from operator import add, index, mul, sub
 
 from .sequences import Frozen, Kind, _trimmed
 from .series import (
-    DensePolynomial,
     InternalCheckError,
     TruncatedSeries,
     _over_one_minus,
+    _product_factor,
     derivative,
     div_exact,
     div_stern,
@@ -185,9 +185,9 @@ def c_series(order: int) -> TruncatedSeries:
     return solve_affine_system(system, order)[0]
 
 
-def p_product_logderiv(poly: DensePolynomial, k: int, order: int
-                       ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(A, B) with A the base-k infinite product of `poly` and B = A'/A.
+def p_product_logderiv(poly, k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(A, B) with A the base-k infinite product of P, the integer
+    coefficients `poly` (constant first), and B = A'/A.
 
     B must satisfy B = P'/P + k z^{k-1} B(z^k); the residual is checked
     exactly before returning.  P(0) = 1, so P'/P has integer coefficients.
@@ -195,13 +195,13 @@ def p_product_logderiv(poly: DensePolynomial, k: int, order: int
     and by P, while P has at most SPARSE_TERMS nonzero tail terms, by the
     term recurrence: the two sides of the check take independent routes.
     """
-    if poly.coeffs[0] != 1:
-        raise ValueError("infinite products need a polynomial with P(0) = 1")
+    cs = _product_factor(poly)
     if order < 1:
         raise ValueError("order must be at least 1")
-    a = infinite_product(poly, k, order)
+    a = infinite_product(cs, k, order)
     b = log_derivative(a)
-    pp = div_exact(derivative(poly.to_series(order)), poly.to_series(order - 1))
+    p = TruncatedSeries.from_coeffs(cs, order)
+    pp = div_exact(derivative(p), p.truncate(order - 1))
     sub = substitute_power(b, k, max(order - k, 0))
     rhs = pp + sub.shift(k - 1).truncate(order - 1).scale(k)
     if b != rhs:

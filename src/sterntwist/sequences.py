@@ -6,7 +6,7 @@ integer-coefficient polynomials in the weight variable w; nothing rounds.
 Each headline quantity is computable by at least two independent routes so
 the routes can be played against each other in tests.  The module also holds
 the package's one product of integer coefficient sequences, `_mul_coeffs`,
-which polynomials in w and in z and the series of `series` all take.
+which the polynomials in w and the series in z of `series` both take.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ MAX_TABLE = 1 << 21
 class Frozen:
     """Base of the package's immutable classes.  Each sets its fields once,
     in `__init__`, through `object.__setattr__` (`_set_fields`, except in
-    the hot one-field constructors of IntPolynomial and TruncatedSeries);
+    the hot one-field constructors of WeightPolynomial and TruncatedSeries);
     assigning or deleting an attribute afterwards raises AttributeError.
     `__setstate__` sets the fields the same way, so instances pickle and
     copy; both are library protocol."""
@@ -242,8 +242,8 @@ def enumerate_admissible(
 # Integer polynomials, and weighted counting in the weight variable w.
 #
 # Every product of integer coefficient sequences is `_mul_coeffs`: products of
-# polynomials in w and in z (`IntPolynomial.__mul__`), of truncated series,
-# and those of the division kernel in `series`.  When the sparser operand has
+# polynomials in w (`WeightPolynomial.__mul__`), of truncated series in z, and
+# those of the division kernel in `series`.  When the sparser operand has
 # at most SPARSE_TERMS nonzero coefficients, the product is `_times_sparse`,
 # one slice update per nonzero term.  Otherwise it goes through Kronecker
 # substitution: both operands are packed into one big number each, multiplied
@@ -329,18 +329,12 @@ def _trimmed(c: tuple) -> tuple:
     return c[:end] or (0,)
 
 
-class IntPolynomial(Frozen):
-    """Integer polynomial in the variable `var`; coeffs[k] is the coefficient
-    of var^k, and the last one is nonzero unless the polynomial is zero.
-
-    Each subclass names its own variable.  Results keep the operands'
-    class, plain ints mix in, and polynomials of two different classes
-    neither combine nor compare equal.  A coefficient that is not an
-    integer raises TypeError.
-    """
+class WeightPolynomial(Frozen):
+    """Integer polynomial in w; coeffs[k] is the coefficient of w^k, and the
+    last one is nonzero unless the polynomial is zero.  Plain ints mix in;
+    a coefficient that is not an integer raises TypeError."""
 
     __slots__ = ("coeffs",)
-    var: str  # a class attribute: the variable's name
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _trimmed(tuple(map(index, coeffs))))
@@ -352,10 +346,6 @@ class IntPolynomial(Frozen):
         self = object.__new__(cls)
         object.__setattr__(self, "coeffs", _trimmed(c))
         return self
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -416,24 +406,13 @@ class IntPolynomial(Frozen):
         # a constant equals its int, so it must hash like it too
         if len(self.coeffs) == 1:
             return hash(self.coeffs[0])
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __str__(self) -> str:
-        return render_coeffs(self.coeffs, self.var)
+        return render_coeffs(self.coeffs, "w")
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
-
-
-class WeightPolynomial(IntPolynomial):
-    """Integer polynomial in w; coeffs[k] is the coefficient of w^k."""
-
-    __slots__ = ()
-    var = "w"
-    # Bound in this class too: perfbench/tracer.py wraps the methods found
-    # in a class's own __dict__.
-    __add__ = __radd__ = IntPolynomial.__add__
-    __mul__ = __rmul__ = IntPolynomial.__mul__
+        return f"WeightPolynomial(coeffs={self.coeffs!r})"
 
 
 ZERO_W = WeightPolynomial((0,))

@@ -1,9 +1,11 @@
-"""Truncated formal power series with integer coefficients, dense integer
-polynomials in z, and the explicit product factorisations built from them.
+"""Truncated formal power series in z with integer coefficients, and the
+explicit product factorisations built from them.
 
 A series value always carries its truncation order; arithmetic truncates to
 the smallest order involved and equality only ever compares the common
 prefix, so a result can never silently claim more precision than it has.
+A polynomial in z, such as psi_e, is the series of its coefficients, cut at
+its degree; a product's factor is a plain sequence of its coefficients.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from .sequences import (
     MAX_TABLE,
     SPARSE_TERMS,
     Frozen,
-    IntPolynomial,
     Kind,
     _mul_coeffs,
     _times_sparse,
+    _trimmed,
     prefix,
     render_coeffs,
 )
@@ -45,8 +47,8 @@ class InternalCheckError(RuntimeError):
 # through Carlitz's product form (each 1 - z^L by `_over_one_minus`), and
 # `mul_stern` multiplies by it through its Mahler equation.  So no command
 # reaches `sequences._kron_mul`, `_quotient` or `div_exact`; they serve the
-# library's `TruncatedSeries.__mul__`, `DensePolynomial.__mul__`,
-# `div_exact`, `log_derivative` and `p_product_logderiv`.
+# library's `TruncatedSeries.__mul__`, `div_exact`, `log_derivative` and
+# `p_product_logderiv`.
 # ---------------------------------------------------------------------------
 
 
@@ -349,34 +351,30 @@ def section(a: TruncatedSeries, r: int, k: int) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[r::k])
 
 
-# ---------------------------------------------------------------------------
-# Dense integer polynomials in z.
-# ---------------------------------------------------------------------------
+# Only perfbench/tracer.py's `series.poly_mul` layer still looks this name
+# up; it is not exported.
+DensePolynomial = TruncatedSeries
 
 
-class DensePolynomial(IntPolynomial):
-    """Dense integer polynomial in z."""
-
-    __slots__ = ()
-    var = "z"
-    # Bound in this class too: perfbench/tracer.py wraps the methods found
-    # in a class's own __dict__.
-    __mul__ = __rmul__ = IntPolynomial.__mul__
-
-    def to_series(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(_padded(self.coeffs, order))
+def _product_factor(poly) -> tuple[int, ...]:
+    """The coefficients of P, constant first, which must be integers with
+    P(0) = 1."""
+    cs = tuple(map(index, poly))
+    if not cs or cs[0] != 1:
+        raise ValueError("infinite products need a polynomial with P(0) = 1")
+    return cs
 
 
-def infinite_product(poly: DensePolynomial, k: int, order: int) -> TruncatedSeries:
-    """Product of poly(z^{k^m}) over all m with k^m <= order, truncated at
-    `order`; later factors are 1 modulo z^{order+1}."""
+def infinite_product(poly, k: int, order: int) -> TruncatedSeries:
+    """Product of P(z^{k^m}) over all m with k^m <= order, truncated at
+    `order`, for P the integer coefficients `poly`, constant first; later
+    factors are 1 modulo z^{order+1}."""
+    cs = _product_factor(poly)
     if k < 2:
         raise ValueError("product base must be at least 2")
-    if poly.coeffs[0] != 1:
-        raise ValueError("infinite products need a polynomial with P(0) = 1")
     acc, step = [1], 1
     while step <= order:
-        acc = _times_sparse(acc, poly.coeffs, step, min(order, len(acc) - 1 + step * poly.degree))
+        acc = _times_sparse(acc, cs, step, min(order, len(acc) - 1 + step * (len(cs) - 1)))
         step *= k
     return TruncatedSeries(_padded(tuple(acc), order))
 
@@ -402,7 +400,7 @@ def carlitz_series(order: int) -> TruncatedSeries:
     the Stern value s(n)."""
     if order == 0:
         return TruncatedSeries.zero(0)
-    return infinite_product(DensePolynomial((1, 1, 1)), 2, order - 1).shift(1)
+    return infinite_product((1, 1, 1), 2, order - 1).shift(1)
 
 
 #: Largest e that psi takes: its window reads the first 6*2^e + 1 entries
@@ -410,10 +408,10 @@ def carlitz_series(order: int) -> TruncatedSeries:
 MAX_PSI_E = ((MAX_TABLE - 1) // 6).bit_length() - 1
 
 
-def psi_from_twisted(e: int) -> DensePolynomial:
+def psi_from_twisted(e: int) -> TruncatedSeries:
     """The sign-corrected window of twisted values over [3*2^e, 6*2^e],
-    read as a polynomial; an e past MAX_PSI_E raises ValueError before the
-    table grows."""
+    read as a polynomial: its trailing zero, t(6*2^e), goes.  An e past
+    MAX_PSI_E raises ValueError before the table grows."""
     if e < 0:
         raise ValueError("e must be a natural number")
     if e > MAX_PSI_E:
@@ -421,10 +419,10 @@ def psi_from_twisted(e: int) -> DensePolynomial:
                          f"6*2^e; tables are capped at {MAX_TABLE} entries)")
     m = 3 << e
     window = window_series(Kind.TWISTED, m, 2 * m + 1)
-    return DensePolynomial((-window if e % 2 else window).coeffs)
+    return TruncatedSeries(_trimmed((-window if e % 2 else window).coeffs))
 
 
-def psi_factored_plain(e: int) -> DensePolynomial:
+def psi_factored_plain(e: int) -> TruncatedSeries:
     """z(1+z^{2^e}) times the product of 1+z^{2^i}+z^{2^{i+1}} for i < e."""
     if e < 0:
         raise ValueError("e must be a natural number")
@@ -432,10 +430,10 @@ def psi_factored_plain(e: int) -> DensePolynomial:
     for i in range(e):
         acc = _times_sparse(acc, (1, 1, 1), 1 << i, len(acc) - 1 + (2 << i))
     acc = _times_sparse([0] + acc, (1, 1), 1 << e, len(acc) + (1 << e))
-    return DensePolynomial._of_ints(tuple(acc))
+    return TruncatedSeries(tuple(acc))
 
 
-def psi_factored_signed(e: int) -> DensePolynomial:
+def psi_factored_signed(e: int) -> TruncatedSeries:
     """z(1+z^{2^e})(1+z+z^2)^e times the product over i <= e-2 of
     (1-z^{2^i}+z^{2^{i+1}})^{e-1-i}.  Every factor is one `_times_sparse`
     at its exact degree: 1+z+z^2 e times, then each 1-z^m+z^{2m} for
@@ -448,16 +446,17 @@ def psi_factored_signed(e: int) -> DensePolynomial:
     for poly, step in factors:
         acc = _times_sparse(acc, poly, step, len(acc) - 1 + 2 * step)
     acc = _times_sparse([0] + acc, (1, 1), 1 << e, len(acc) + (1 << e))
-    return DensePolynomial._of_ints(tuple(acc))
+    return TruncatedSeries(tuple(acc))
 
 
-def psi(e: int) -> DensePolynomial:
-    """The palindromic window polynomial, computed three independent ways;
-    disagreement is a hard error."""
+def psi(e: int) -> TruncatedSeries:
+    """The palindromic window polynomial, of degree 3*2^e - 1, computed three
+    independent ways; any disagreement, in a coefficient or in the length, is
+    a hard error."""
     a = psi_from_twisted(e)
     b = psi_factored_plain(e)
     c = psi_factored_signed(e)
-    if not (a == b == c):
+    if not (a.coeffs == b.coeffs == c.coeffs):
         raise InternalCheckError(f"the three routes to psi({e}) disagree")
     return a
 

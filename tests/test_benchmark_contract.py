@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sterntwist
+import sterntwist.series as series
 from sterntwist.regularity import h_series
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +84,10 @@ def test_traced_conjecture_is_one_sweep(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "CONJ-AB" in done.stdout
     assert json.loads(trace.read_text())["layers"]["verify.conjecture"]["calls"] == 1
+
+
+def test_the_traced_poly_mul_name_is_an_unexported_alias():
+    # the tracer's series.poly_mul layer looks `series.DensePolynomial` up;
+    # it names the one dense class in z and is not part of the package API
+    assert series.DensePolynomial is series.TruncatedSeries
+    assert "DensePolynomial" not in sterntwist.__all__

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from sterntwist.ratwords import LinearRepresentation, admissible_representation
 from sterntwist.regularity import AffineSystem, KernelProbeReport
-from sterntwist.sequences import W, IntPolynomial, WeightPolynomial
-from sterntwist.series import DensePolynomial, TruncatedSeries
+from sterntwist.sequences import W, WeightPolynomial
+from sterntwist.series import TruncatedSeries
 from sterntwist.verify import REGISTRY, VerificationReport, check_identity
 
 FROZEN = {
     "WeightPolynomial": (lambda: WeightPolynomial((1, 2)), "coeffs"),
-    "DensePolynomial": (lambda: DensePolynomial((1, 2)), "coeffs"),
     "TruncatedSeries": (lambda: TruncatedSeries.from_coeffs((1, 2)), "coeffs"),
     "LinearRepresentation": (admissible_representation, "init"),
     "AffineSystem": (
@@ -55,16 +54,16 @@ def test_frozen_values_pickle(name):
 def test_polynomial_and_series_reprs():
     # a message may show them (ratwords names a bad entry by its repr)
     assert repr(WeightPolynomial((1, 2, 0))) == "WeightPolynomial(coeffs=(1, 2))"
+    assert str(WeightPolynomial((1, 2, 0))) == "1 + 2*w"
     assert repr(TruncatedSeries.from_coeffs((1, 0))) == "TruncatedSeries(coeffs=(1, 0))"
-    with pytest.raises(TypeError, match=r"^DensePolynomial\(coeffs=\(1,\)\) is neither"):
-        LinearRepresentation.of((W,), (((DensePolynomial((1,)),),),), (1,))
+    with pytest.raises(TypeError, match=r"^TruncatedSeries\(coeffs=\(1,\)\) is neither"):
+        LinearRepresentation.of((W,), (((TruncatedSeries((1,)),),),), (1,))
 
 
-@given(st.lists(st.integers(-3, 3), max_size=6),
-       st.sampled_from([IntPolynomial, WeightPolynomial, DensePolynomial]))
-def test_trusted_constructor_matches_the_checked_one(coeffs, cls):
-    got, want = cls._of_ints(tuple(coeffs)), cls(coeffs)
-    assert type(got) is cls
+@given(st.lists(st.integers(-3, 3), max_size=6))
+def test_trusted_constructor_matches_the_checked_one(coeffs):
+    got, want = WeightPolynomial._of_ints(tuple(coeffs)), WeightPolynomial(coeffs)
+    assert type(got) is WeightPolynomial
     assert got.coeffs == want.coeffs
 
 

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_product
+
 import sterntwist.sequences as sequences
 import sterntwist.series as series
 import sterntwist.verify as verify
 from sterntwist.regularity import AffineSystem, solve_affine_system
 from sterntwist.sequences import SPARSE_TERMS, Kind, WeightPolynomial, prefix, stern
 from sterntwist.series import (
-    DensePolynomial,
     DivisionError,
     TruncatedSeries,
     div_exact,
@@ -123,9 +124,11 @@ def test_sparse_schoolbook_matches_the_double_loop(a, b, n):
 @settings(max_examples=100, deadline=None)
 @given(coeff_seqs(), coeff_seqs())
 def test_poly_mul_matches_schoolbook(a, b):
-    got = DensePolynomial(tuple(a)) * DensePolynomial(tuple(b))
-    pa, pb = trim(a), trim(b)
-    assert got.coeffs == trim(schoolbook_mul(pa, pb, len(pa) + len(pb) - 2))
+    # the full product, through padded series and through w-polynomials
+    want = schoolbook_mul(a, b, len(a) + len(b) - 2)
+    assert list(exact_product(a, b)) == want
+    got = WeightPolynomial(tuple(a)) * WeightPolynomial(tuple(b))
+    assert got.coeffs == trim(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,8 +156,7 @@ def test_mul_at_the_sparse_cutoff(monkeypatch, terms, bits):
     for x, y in ((a, b), (b, a)):
         got = TruncatedSeries.from_coeffs(x) * TruncatedSeries.from_coeffs(y)
         assert list(got.coeffs) == schoolbook_mul(x, y, 249)
-        poly = DensePolynomial(tuple(x)) * DensePolynomial(tuple(y))
-        assert poly.coeffs == trim(schoolbook_mul(x, y, 548))
+        assert list(exact_product(x, y)) == schoolbook_mul(x, y, 548)
         assert bool(calls) == (terms > SPARSE_TERMS)
         calls.clear()
         # w-products take the same route
@@ -186,7 +188,7 @@ def test_kron_slots_hold_the_extreme_coefficients(monkeypatch, length, sign):
     got = TruncatedSeries.from_coeffs(a) * TruncatedSeries.from_coeffs(b)
     assert got.coeffs[-1] == sign * length * top * top
     assert list(got.coeffs) == schoolbook_mul(a, b, length - 1)
-    poly = DensePolynomial(tuple(a)) * DensePolynomial(tuple(b))
+    poly = WeightPolynomial(tuple(a)) * WeightPolynomial(tuple(b))
     assert poly.coeffs == tuple(schoolbook_mul(a, b, 2 * length - 2))
     assert calls
 
@@ -196,7 +198,7 @@ def test_zero_and_order_zero_operands():
     dense = TruncatedSeries.from_coeffs([stern(n + 1) for n in range(201)])
     assert (zero * dense).coeffs == (0,) * 201
     assert div_exact(zero, dense).coeffs == (0,) * 201
-    assert DensePolynomial((0,)) * DensePolynomial(dense.coeffs) == DensePolynomial((0,))
+    assert exact_product((0,), dense.coeffs) == (0,) * 201
     c = TruncatedSeries((-3,))
     assert (c * dense).coeffs == (-3,)
     assert div_exact(c, TruncatedSeries((-1,))).coeffs == (3,)

@@ -62,12 +62,11 @@ GUARDS = (
     "columns.Span.__neg__",  # a side may negate n, as it may an int
     "sequences.Frozen.__delattr__",
     "sequences.Frozen.__setattr__",
-    "sequences.IntPolynomial.__hash__",
-    "sequences.IntPolynomial.__repr__",
-    "sequences.IntPolynomial.__rsub__",
+    "sequences.WeightPolynomial.__hash__",
+    "sequences.WeightPolynomial.__repr__",
+    "sequences.WeightPolynomial.__rsub__",
     "series.TruncatedSeries.__repr__",
     "series.TruncatedSeries.__rmul__",
-    "series.TruncatedSeries.__str__",
 )
 
 _NOT_COUNTED = {"<lambda>", "<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>"}
@@ -201,7 +200,6 @@ def _call_the_rest() -> None:
     import sterntwist
     from sterntwist import (
         AffineSystem,
-        DensePolynomial,
         TruncatedSeries,
         check_det_m,
         degree_reduce,
@@ -218,10 +216,11 @@ def _call_the_rest() -> None:
 
     dense = TruncatedSeries(tuple(range(1, 81)))
     assert div_exact(dense * dense, dense) == dense
-    assert (DensePolynomial((1, 1, 1)) * DensePolynomial((1, -1, 1))).coeffs == (1, 0, 1, 0, 1)
+    p, q = TruncatedSeries((1, 1, 1, 0, 0)), TruncatedSeries((1, -1, 1, 0, 0))
+    assert (p * q).coeffs == (1, 0, 1, 0, 1)
     assert log_derivative(TruncatedSeries((1, 1, 0))).coeffs == (1, -1)
     assert section(stern_series(8), 1, 2).coeffs == (1, 2, 3, 3)
-    p_product_logderiv(DensePolynomial((1, 1, 1)), 2, 128)
+    p_product_logderiv((1, 1, 1), 2, 128)
     degree_reduce(AffineSystem.of(2, [stern_series(8)], [[(0, 0, 1)]], [0]))
     assert (det_m(5), mod2(5), exact_rank([[1, 2], [2, 4], [0, 1]])) == (-2, 1, 2)
     for report in (check_det_m(16), kernel_rank("stern", stern_series(63).coeffs, 2, 2, 64)):

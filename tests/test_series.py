@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_product
+
 import sterntwist.sequences as sequences
 import sterntwist.series as series
 from sterntwist.ratwords import LinearRepresentation
-from sterntwist.regularity import AffineSystem, exact_rank
+from sterntwist.cli import run
+from sterntwist.regularity import AffineSystem, exact_rank, p_product_logderiv
 from sterntwist.sequences import W, WeightPolynomial, _times_sparse, stern, twisted
 from sterntwist.series import (
     MAX_PSI_E,
-    DensePolynomial,
     DivisionError,
     InternalCheckError,
     TruncatedSeries,
@@ -58,15 +61,25 @@ def test_basic_arithmetic():
     lambda x: exact_rank([[1, x], [3, 2]]),
     lambda x: LinearRepresentation.of((1,), (((x,),),), (1,)),
     lambda x: LinearRepresentation.of((W,), (((x,),),), (1,)),
-    lambda x: DensePolynomial((1, x)),
     lambda x: WeightPolynomial((1, x)),
-    lambda x: infinite_product(DensePolynomial((1, x)), 2, 4),
+    lambda x: infinite_product((1, x), 2, 4),
+    lambda x: p_product_logderiv((1, x), 2, 4),
 ], ids=["from_coeffs", "scale", "form", "constant", "exact_rank", "rep", "weighted_rep",
-        "dense_poly", "weight_poly", "infinite_product"])
+        "weight_poly", "infinite_product", "p_product_logderiv"])
 def test_non_integers_are_type_errors(build, bad):
     # every coefficient is an integer; nothing is silently truncated or rationalised
     with pytest.raises(TypeError):
         build(bad)
+
+
+@pytest.mark.parametrize("poly", [(), (0, 1), (2, 1), (-1, 1)])
+@pytest.mark.parametrize("build", [
+    lambda poly: infinite_product(poly, 2, 9),
+    lambda poly: p_product_logderiv(poly, 2, 9),
+], ids=["infinite_product", "p_product_logderiv"])
+def test_product_factors_start_with_one(build, poly):
+    with pytest.raises(ValueError, match=r"^infinite products need a polynomial with P\(0\) = 1$"):
+        build(poly)
 
 
 def test_order_is_min_of_operands():
@@ -190,15 +203,15 @@ def test_section_interleave_identity(coeffs, k):
     assert total == a
 
 
-def _infinite_product_by_polynomials(poly, k, order):
+def _infinite_product_by_polynomials(coeffs, k, order):
     """The former route to infinite_product, kept as the oracle: each factor
-    is poly(z^step) formed as a polynomial, then cut to the order."""
+    is P(z^step) formed in full, then cut to the order."""
     acc = TruncatedSeries.one(order)
     step = 1
     while step <= order:
-        out = [0] * (poly.degree * step + 1)
-        out[::step] = poly.coeffs
-        acc = acc * DensePolynomial(out).to_series(order)
+        out = [0] * ((len(coeffs) - 1) * step + 1)
+        out[::step] = coeffs
+        acc = acc * S(out, order)
         step *= k
     return acc
 
@@ -206,10 +219,9 @@ def _infinite_product_by_polynomials(poly, k, order):
 @pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, -1), (1, 2, 0, 3, 1)])
 @pytest.mark.parametrize("k", [2, 3])
 def test_infinite_product_matches_the_polynomial_substitution(coeffs, k):
-    poly = DensePolynomial(coeffs)
     for order in [*range(301), 1023, 1024, 4096]:
-        got = infinite_product(poly, k, order).coeffs
-        assert got == _infinite_product_by_polynomials(poly, k, order).coeffs, order
+        got = infinite_product(coeffs, k, order).coeffs
+        assert got == _infinite_product_by_polynomials(coeffs, k, order).coeffs, order
 
 
 @st.composite
@@ -333,7 +345,7 @@ def test_sparse_routes_stay_off_the_product_kernel(monkeypatch):
     kernel = _spy(monkeypatch, "_mul_coeffs", (sequences, series))
     slices = _spy(monkeypatch, "_times_sparse")
     for build in (psi_factored_plain, psi_factored_signed, carlitz_series,
-                  lambda n: infinite_product(DensePolynomial((1, 2, 0, 3, 1)), 3, n)):
+                  lambda n: infinite_product((1, 2, 0, 3, 1), 3, n)):
         slices.clear()
         build(9)
         assert slices
@@ -355,21 +367,22 @@ def test_psi_catches_a_fault_in_the_slice_products(monkeypatch, e):
         return out
 
     monkeypatch.setattr(series, "_times_sparse", faulty)
-    assert psi_factored_plain(e) != psi_from_twisted(e) != psi_factored_signed(e)
+    assert psi_factored_plain(e).coeffs != psi_from_twisted(e).coeffs
+    assert psi_from_twisted(e).coeffs != psi_factored_signed(e).coeffs
     with pytest.raises(InternalCheckError):
         psi(e)
 
 
 def test_infinite_product():
-    prod = infinite_product(DensePolynomial((1, 1, 1)), 2, 21)
+    prod = infinite_product((1, 1, 1), 2, 21)
     assert prod.coeffs == tuple(stern(n + 1) for n in range(22))
-    signs = infinite_product(DensePolynomial((1, -1)), 2, 16)
+    signs = infinite_product([1, -1], 2, 16)
     assert signs.coeffs == tuple(
         (-1) ** bin(n).count("1") for n in range(17)
     )
-    assert infinite_product(DensePolynomial((1,)), 3, 9) == TruncatedSeries.one(9)
-    with pytest.raises(ValueError):
-        infinite_product(DensePolynomial((2, 1)), 2, 9)
+    assert infinite_product((1,), 3, 9).coeffs == TruncatedSeries.one(9).coeffs
+    # trailing zeros of the factor change nothing
+    assert infinite_product((1, 1, 1, 0, 0), 2, 21).coeffs == prod.coeffs
 
 
 def test_named_series():
@@ -380,30 +393,28 @@ def test_named_series():
     assert carlitz_series(0).coeffs == (0,)
 
 
-def test_dense_polynomial():
-    p = DensePolynomial((1, 1, 1))
-    q = DensePolynomial((1, -1, 1))
-    assert (p * q).coeffs == (1, 0, 1, 0, 1)
-    assert (p - p).coeffs == (0,)
-    assert DensePolynomial((1, 0, 0)).coeffs == (1,)
-    assert derivative(p.to_series(2)).coeffs == (1, 2)
-    assert substitute_power(p.to_series(2), 2, 4).coeffs == (1, 0, 1, 0, 1)
-    assert str(DensePolynomial((0, 1, 1))) == "0 + 1*z + 1*z^2"
+def test_polynomials_in_z_are_series():
+    p, q = S((1, 1, 1)), S((1, -1, 1))
+    assert exact_product(p.coeffs, q.coeffs) == (1, 0, 1, 0, 1)
+    assert (p - p).coeffs == (0, 0, 0)
+    assert derivative(p).coeffs == (1, 2)
+    assert substitute_power(p, 2, 4).coeffs == (1, 0, 1, 0, 1)
+    assert str(S((0, 1, 1))) == "0 + 1*z + 1*z^2"
 
 
 @pytest.mark.parametrize("k", range(18))
 def test_powers_match_repeated_products_and_square_only_what_they_use(monkeypatch, k):
     # psi's signed route takes each power as k slice products at the exact
     # degree, so it forms no square and no coefficient past the power's own
-    p = DensePolynomial((1, -1, 2))
-    want = DensePolynomial((1,))
+    p = (1, -1, 2)
+    want = (1,)
     for _ in range(k):
-        want = want * p
+        want = exact_product(want, p)
     kernel, slices = _spy(monkeypatch, "_mul_coeffs"), _spy(monkeypatch, "_times_sparse")
     acc = [1]
     for _ in range(k):
-        acc = series._times_sparse(acc, p.coeffs, 1, len(acc) + 1)
-    assert tuple(acc) == want.coeffs and len(acc) == 2 * k + 1
+        acc = series._times_sparse(acc, p, 1, len(acc) + 1)
+    assert tuple(acc) == want and len(acc) == 2 * k + 1
     assert len(slices) == k and kernel == []
 
 
@@ -411,52 +422,37 @@ def test_powers_match_repeated_products_and_square_only_what_they_use(monkeypatc
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),
        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=48),
        st.integers(min_value=-3, max_value=3))
-def test_w_and_z_polynomials_share_one_arithmetic(a, b, c):
-    # z-products go through the series kernel, w-products through the
-    # slice product; every other operation is the same code
-    za, zb = DensePolynomial(tuple(a)), DensePolynomial(tuple(b))
+def test_w_polynomial_arithmetic_matches_the_coefficient_lists(a, b, c):
+    # products against the series kernel; sums, negation and ints by hand
     wa, wb = WeightPolynomial(tuple(a)), WeightPolynomial(tuple(b))
-    for z, w in [(za + zb, wa + wb), (za - zb, wa - wb), (za * zb, wa * wb), (-za, -wa),
-                 (c + za, c + wa), (c - za, c - wa), (c * za, c * wa)]:
-        assert type(z) is DensePolynomial and type(w) is WeightPolynomial
-        assert z.coeffs == w.coeffs
-    assert bool(za) == bool(wa) == any(a)
-    assert str(za).replace("z", "w") == str(wa)
+    n = max(len(a), len(b))
+    pa, pb = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    lc = [c] + [0] * (n - 1)
+    for w, want in [(wa + wb, [x + y for x, y in zip(pa, pb)]),
+                    (wa - wb, [x - y for x, y in zip(pa, pb)]),
+                    (wa * wb, exact_product(a, b)), (-wa, [-x for x in a]),
+                    (c + wa, [x + y for x, y in zip(lc, pa)]),
+                    (c - wa, [x - y for x, y in zip(lc, pa)]), (c * wa, [c * x for x in a])]:
+        assert type(w) is WeightPolynomial
+        assert w.coeffs == WeightPolynomial(want).coeffs
+    assert bool(wa) == any(a)
 
 
-def test_w_and_z_polynomials_never_mix():
-    z, w = DensePolynomial((1, 2)), WeightPolynomial((1, 2))
-    assert z != w and w != z
-    assert z == DensePolynomial((1, 2, 0)) and hash(z) == hash(DensePolynomial((1, 2, 0)))
-    assert DensePolynomial((3,)) == 3 and WeightPolynomial((3,)) == 3
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-        with pytest.raises(TypeError):
-            op(z, w)
-        with pytest.raises(TypeError):
-            op(w, z)
-    assert str(z) == "1 + 2*z" and str(w) == "1 + 2*w"
-    assert repr(z) == "DensePolynomial(coeffs=(1, 2))"
-
-
-@pytest.mark.parametrize("cls", [WeightPolynomial, DensePolynomial])
-def test_constant_polynomials_hash_like_their_int(cls):
+def test_constant_polynomials_hash_like_their_int():
     for c in (3, 0, -7, 1 << 70):
-        assert cls((c,)) == c and hash(cls((c,))) == hash(c)
-        assert len({c, cls((c,))}) == 1
-        assert len({c, cls((c, 0, 0))}) == 1
-    assert len({3, WeightPolynomial((3,)), DensePolynomial((3,))}) == 1
-    assert cls(()) == 0 and len({0, cls(())}) == 1
-    assert {cls((1, 2)): "p"}[cls((1, 2, 0))] == "p"
+        assert WeightPolynomial((c,)) == c and hash(WeightPolynomial((c,))) == hash(c)
+        assert len({c, WeightPolynomial((c,))}) == 1
+        assert len({c, WeightPolynomial((c, 0, 0))}) == 1
+    assert WeightPolynomial(()) == 0 and len({0, WeightPolynomial(())}) == 1
+    assert {WeightPolynomial((1, 2)): "p"}[WeightPolynomial((1, 2, 0))] == "p"
 
 
 @given(st.integers(min_value=1, max_value=64))
 def test_trinomial_telescoping(a):
-    plus = DensePolynomial((1,) + (0,) * (a - 1) + (1,) + (0,) * (a - 1) + (1,))
-    minus = DensePolynomial((1,) + (0,) * (a - 1) + (-1,) + (0,) * (a - 1) + (1,))
-    doubled = DensePolynomial(
-        (1,) + (0,) * (2 * a - 1) + (1,) + (0,) * (2 * a - 1) + (1,)
-    )
-    assert plus * minus == doubled
+    plus = (1,) + (0,) * (a - 1) + (1,) + (0,) * (a - 1) + (1,)
+    minus = (1,) + (0,) * (a - 1) + (-1,) + (0,) * (a - 1) + (1,)
+    doubled = (1,) + (0,) * (2 * a - 1) + (1,) + (0,) * (2 * a - 1) + (1,)
+    assert exact_product(plus, minus) == doubled
 
 
 def test_psi_small_and_routes():
@@ -464,31 +460,46 @@ def test_psi_small_and_routes():
     assert psi(1).coeffs == (0, 1, 1, 2, 1, 1)
     assert psi(2).coeffs == (0, 1, 1, 2, 1, 3, 2, 3, 1, 2, 1, 1)
     for e in range(8):
-        assert psi_from_twisted(e) == psi_factored_plain(e) == psi_factored_signed(e)
+        assert (psi_from_twisted(e).coeffs == psi_factored_plain(e).coeffs
+                == psi_factored_signed(e).coeffs)
+
+
+@pytest.mark.parametrize("route", ["psi_from_twisted", "psi_factored_plain",
+                                   "psi_factored_signed"])
+@pytest.mark.parametrize("change", [lambda cs: cs[:-1], lambda cs: cs + (0,)],
+                         ids=["last_dropped", "zero_appended"])
+def test_psi_routes_must_agree_in_length(monkeypatch, route, change):
+    # both changes pass a prefix comparison, so psi must compare whole tuples
+    real = getattr(series, route)
+    monkeypatch.setattr(series, route, lambda e: TruncatedSeries(change(real(e).coeffs)))
+    assert getattr(series, route)(3) == real(3)
+    with pytest.raises(InternalCheckError):
+        psi(3)
 
 
 def test_psi_routes_agree_at_the_largest_e():
     p = psi(MAX_PSI_E)
-    assert p.degree == (3 << MAX_PSI_E) - 1
+    assert p.order == (3 << MAX_PSI_E) - 1
     assert p.coeffs[: (1 << MAX_PSI_E) + 1] == stern_series(1 << MAX_PSI_E).coeffs
 
 
 def test_psi_palindrome_window():
+    # psi's order is its degree, 3*2^e - 1: the window's last entry,
+    # t(6*2^e) = 0, is not a coefficient
     for e in range(8):
         m = 3 << e
         p = psi(e)
         window = list(p.coeffs) + [0] * (m + 1 - len(p.coeffs))
         assert window == window[::-1]
         assert window[0] == 0
-        assert p.degree == m - 1
+        assert p.order == m - 1
 
 
 def test_psi_doubling_recursion():
     # z * psi(e+1) equals (1 + z + z^2) * psi(e)(z^2)
     for e in range(10):
-        lhs = psi(e + 1).to_series((6 << e) - 1).shift(1)
-        rhs = DensePolynomial((1, 1, 1)).to_series(6 << e) * substitute_power(
-            psi(e).to_series(3 << e), 2, 6 << e)
+        lhs = psi(e + 1).shift(1)
+        rhs = S((1, 1, 1), 6 << e) * substitute_power(S(psi(e).coeffs, 3 << e), 2, 6 << e)
         assert lhs.coeffs == rhs.coeffs
 
 
@@ -511,3 +522,62 @@ def test_rendering_and_json():
     assert s.to_json_coeffs() == ["0", "1", "1", "2", "1", "3"]
     parsed = json.loads(json.dumps(s.to_json_coeffs()))
     assert [int(c) for c in parsed] == list(s.coeffs)
+
+
+#: "<argv> -> first 16 hex digits of the sha256 of its stdout", recorded
+#: while psi still returned a polynomial class of its own; every run exits 0 and
+#: writes nothing to stderr.
+PSI_CARLITZ_DIGESTS = {
+    "series --name psi --e 0 --format text": "248a158f8b7b8cea",
+    "series --name psi --e 0 --format json": "a04789599eb7d671",
+    "series --name psi --e 1 --format text": "13bce0acab9b8365",
+    "series --name psi --e 1 --format json": "2dfe703bfca92568",
+    "series --name psi --e 2 --format text": "6db96360386e18f7",
+    "series --name psi --e 2 --format json": "7327e5f30463404b",
+    "series --name psi --e 3 --format text": "dad131b9145eb939",
+    "series --name psi --e 3 --format json": "ddb713dbe01a25ad",
+    "series --name psi --e 4 --format text": "66ff4b118157df3d",
+    "series --name psi --e 4 --format json": "fc4d2ff2084fd3de",
+    "series --name psi --e 5 --format text": "7dd8ec13c09fdf7b",
+    "series --name psi --e 5 --format json": "b268d8cbba144180",
+    "series --name psi --e 6 --format text": "63009b0efccb73c7",
+    "series --name psi --e 6 --format json": "1b17975162b39b2b",
+    "series --name psi --e 7 --format text": "81b20ba6ff34d8d2",
+    "series --name psi --e 7 --format json": "50f719094802714b",
+    "series --name psi --e 8 --format text": "c5aae8b5a324e969",
+    "series --name psi --e 8 --format json": "5fa4b4471566ba10",
+    "series --name psi --e 9 --format text": "4ef1ce403ecef4ff",
+    "series --name psi --e 9 --format json": "f749be3ccd40ab4c",
+    "series --name psi --e 10 --format text": "ca9fd34c4b4b9380",
+    "series --name psi --e 10 --format json": "f77261b78ecfd59c",
+    "series --name psi --e 11 --format text": "c8a5ac083e0efb4c",
+    "series --name psi --e 11 --format json": "ef51facb65b0f19b",
+    "series --name psi --e 12 --format text": "0fae1a62b0c9621b",
+    "series --name psi --e 12 --format json": "c0f4664c40545011",
+    "series --name psi --e 18 --format text": "0f49d3e91cd7e910",
+    "series --name psi --e 18 --format json": "4298e7463ca3d151",
+    "series --name carlitz --order 0 --format text": "9a271f2a916b0b6e",
+    "series --name carlitz --order 0 --format json": "a34b66c7a69f87c9",
+    "series --name carlitz --order 1 --format text": "4efe00fd40db724f",
+    "series --name carlitz --order 1 --format json": "9c537daf10a81640",
+    "series --name carlitz --order 2 --format text": "248a158f8b7b8cea",
+    "series --name carlitz --order 2 --format json": "d1b0b83ca79f317e",
+    "series --name carlitz --order 15 --format text": "523b9445dc1558c9",
+    "series --name carlitz --order 15 --format json": "b5f49f3e25b08ffd",
+    "series --name carlitz --order 16 --format text": "9e1ed7f201e98266",
+    "series --name carlitz --order 16 --format json": "73268e054d1ac485",
+    "series --name carlitz --order 1024 --format text": "4400afcac0dedd76",
+    "series --name carlitz --order 1024 --format json": "35d34961c0db9a8c",
+    "series --name carlitz --order 4100 --format text": "977bc58485f4723c",
+    "series --name carlitz --order 4100 --format json": "3f5ce7517e81e79d",
+    "series --name carlitz --order 262144 --format text": "dfb34c4a48b42331",
+    "series --name carlitz --order 262144 --format json": "ca23d2e953542148",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PSI_CARLITZ_DIGESTS))
+def test_psi_and_carlitz_stdout_is_pinned(capsys, argv):
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == PSI_CARLITZ_DIGESTS[argv]

@@ -18,7 +18,7 @@ from sterntwist.ratwords import (
 )
 from sterntwist.regularity import AffineSystem, h_series, p_product_logderiv, solve_affine_system
 from sterntwist.sequences import weighted_stern, weighted_stern_alt
-from sterntwist.series import DensePolynomial, InternalCheckError, TruncatedSeries, psi
+from sterntwist.series import InternalCheckError, TruncatedSeries, psi
 from sterntwist.verify import check_conjecture_gen
 
 
@@ -56,7 +56,7 @@ def test_a_wrong_slice_product_makes_every_cross_check_fail():
     with pytest.raises(InternalCheckError):
         psi(4)
     with pytest.raises(InternalCheckError):
-        p_product_logderiv(DensePolynomial((1, 1, 1)), 2, 128)
+        p_product_logderiv((1, 1, 1), 2, 128)
     # the digit fold adds and never multiplies; the mod-4 recursion and the
     # weighted automaton multiply w-polynomials
     automaton = subsequence_transform(admissible_representation(weighted=True))

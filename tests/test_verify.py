@@ -14,7 +14,6 @@ import sterntwist.sequences as sequences
 import sterntwist.series as series
 from sterntwist.columns import Column, Span
 from sterntwist.series import (
-    DensePolynomial,
     DivisionError,
     TruncatedSeries,
     div_exact,
@@ -737,8 +736,8 @@ def test_range_builders_read_tables_and_match_point_lookups():
     assert got["twisted"] == [twisted(n) for n in range(701)]
     for e, coeffs in enumerate(got["psi"]):
         m = 3 << e
-        want = DensePolynomial(tuple((-1) ** e * twisted(m + i) for i in range(m + 1)))
-        assert tuple(coeffs) == want.coeffs
+        # the window without its last entry, t(6*2^e) = 0
+        assert tuple(coeffs) == tuple((-1) ** e * twisted(m + i) for i in range(m))
     h = log_derivative(series_of(stern(n + 1) for n in range(402)))
     assert tuple(got["H"]) == h.coeffs
     u = div_exact(series_of(twisted(3 + n) for n in range(402)),
